@@ -1,8 +1,10 @@
 """MAC counting and model-on-accelerator cost estimation.
 
 ``count_macs()`` is a context manager: any matmul or convolution
-executed inside it (by the autodiff tensor ops) is tallied, so the MAC
-count of one model inference is measured, not hand-derived.
+executed inside it (by the autodiff tensor ops) on the same thread is
+tallied, so the MAC count of one model inference is measured, not
+hand-derived — even while other threads (say, serving workers) run
+their own forwards.
 ``estimate_inference_cost`` then maps that count onto a PE
 configuration: cycles at the array's MAC throughput, energy at the
 calibrated per-op cost — answering the co-design question "what does
@@ -14,7 +16,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
-from typing import Dict, Iterator, Tuple
+import threading
+from typing import Dict, Iterator, List, Tuple
 
 from .constants import CLOCK_HZ
 from .pe import make_pe
@@ -39,23 +42,41 @@ class MacCounter:
                 "total": self.total}
 
 
-_ACTIVE: list = []
+class _ThreadCounters(threading.local):
+    def __init__(self) -> None:
+        self.stack: List[MacCounter] = []   # open counters, outermost first
+
+
+#: Counting is *thread-local*: a scope counts only its own thread's ops.
+#: ``_ACTIVE`` counts open scopes across all threads, so the per-op
+#: guard stays a single global load + truthiness test when no scope is
+#: open anywhere.
+_TLS = _ThreadCounters()
+_ACTIVE = 0
+_ACTIVE_LOCK = threading.Lock()
 
 
 @contextlib.contextmanager
 def count_macs() -> Iterator[MacCounter]:
-    """Record every matmul/conv MAC executed in the block."""
+    """Record every matmul/conv MAC the calling thread executes in the
+    block."""
+    global _ACTIVE
     counter = MacCounter()
-    _ACTIVE.append(counter)
+    _TLS.stack.append(counter)
+    with _ACTIVE_LOCK:
+        _ACTIVE += 1
     try:
         yield counter
     finally:
-        _ACTIVE.pop()
+        with _ACTIVE_LOCK:
+            _ACTIVE -= 1
+        _TLS.stack.pop()
 
 
 def record_matmul(shape_a: Tuple[int, ...], shape_b: Tuple[int, ...]) -> None:
     """Called by ``Tensor.__matmul__``; no-op when no counter is active."""
-    if not _ACTIVE:
+    counters = _TLS.stack if _ACTIVE else None
+    if not counters:
         return
     if len(shape_a) == 1:  # 1-D dot
         macs = shape_a[0]
@@ -68,17 +89,18 @@ def record_matmul(shape_a: Tuple[int, ...], shape_b: Tuple[int, ...]) -> None:
         for extra in shape_b[:-2][len(shape_a[:-2]):]:
             batch *= extra
         macs = batch * m * k * n
-    for counter in _ACTIVE:
+    for counter in counters:
         counter.matmul_macs += macs
 
 
 def record_conv2d(batch: int, out_ch: int, in_ch: int, kh: int, kw: int,
                   oh: int, ow: int) -> None:
     """Called by ``functional.conv2d``."""
-    if not _ACTIVE:
+    counters = _TLS.stack if _ACTIVE else None
+    if not counters:
         return
     macs = batch * out_ch * in_ch * kh * kw * oh * ow
-    for counter in _ACTIVE:
+    for counter in counters:
         counter.conv_macs += macs
 
 

@@ -5,10 +5,10 @@ heavy concurrent traffic; this package turns the per-call inference
 kernels (KV-cached decode, weight-quant memoization) into sustained
 request throughput:
 
-* :class:`InferenceServer` (``engine``) — bounded ingress queue with
-  backpressure, a scheduler coalescing concurrent requests into padded
-  micro-batches (``max_batch`` / ``max_wait_ms`` / length bucketing),
-  worker threads, per-request futures, graceful drain/shutdown.
+* :class:`InferenceServer` (``engine``) — bounded admission with
+  backpressure, shape buckets from which free worker threads take
+  padded micro-batches (``max_batch`` / ``max_wait_ms`` / length
+  bucketing), per-request futures, graceful drain/shutdown.
 * :class:`ModelPool` (``pool``) — warm models shared across requests;
   quantized weights resolve once through the ``WeightFakeQuant`` memo.
 * ``batching`` — bucket keys and padded batch assembly/demux; batched

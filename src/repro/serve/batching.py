@@ -1,8 +1,8 @@
 """Micro-batch assembly: bucket keys, padded batch building, demux.
 
-The scheduler coalesces waiting requests into *micro-batches* that run
-through the existing KV-cached batched decode paths.  Two rules decide
-which requests may share a batch (the bucket key):
+The engine's workers coalesce waiting requests into *micro-batches*
+that run through the existing KV-cached batched decode paths.  Two
+rules decide which requests may share a batch (the bucket key):
 
 * **translate** (Transformer) — requests are padded to the longest
   source in the batch, so any lengths could share a batch; a
@@ -99,7 +99,7 @@ def run_microbatch(entry: PooledModel,
                    requests: Sequence[Request]) -> List[Any]:
     """Run one coalesced batch and demultiplex per-request results.
 
-    All requests must share a bucket key (the scheduler guarantees it).
+    All requests must share a bucket key (the engine guarantees it).
     Returns one result per request, in order: token lists for
     translate/transcribe, ``int`` class labels for classify.
     """

@@ -1,19 +1,25 @@
-"""The inference server: bounded ingress, micro-batch scheduler, workers.
+"""The inference server: bucketed submit, pull-style micro-batching.
 
 Request lifecycle::
 
-    submit() ──> ingress queue ──> scheduler ──> bucket pends ──┐
-                (backpressure)     (coalesce)                   │ dispatch
-                                                                v
-    future.result() <── worker demux <── run_microbatch <── batch queue
+    submit() ──> bucket_key ──> bucket ──> an idle worker takes up to
+    (backpressure)              (coalesce)  max_batch from a due bucket
+                                                        │
+                                                        v
+    future.result() <──────── worker demux <──── run_microbatch
 
 * **Backpressure** — at most ``max_queue`` requests may be in flight
   (submitted, not yet resolved).  ``submit(block=True)`` waits for a
   slot; ``block=False`` raises :class:`ServerSaturated` immediately.
-* **Coalescing** — the scheduler thread groups compatible requests
-  (same :func:`~repro.serve.batching.bucket_key`) and dispatches a
-  micro-batch when it reaches ``max_batch`` or when its oldest request
-  has waited ``max_wait_ms`` — the classic throughput/latency dial.
+* **Coalescing** — ``submit`` appends each request to the bucket of
+  compatible requests (same :func:`~repro.serve.batching.bucket_key`).
+  A bucket is *due* when it holds ``max_batch`` requests, when its
+  oldest request has waited ``max_wait_ms``, or once shutdown has
+  begun — the classic throughput/latency dial.  Batch formation needs
+  no thread of its own: a worker that becomes free takes up to
+  ``max_batch`` requests from the due bucket with the oldest head, so
+  requests that arrive while every worker is busy join the next batch
+  instead of being cut into small ones.
 * **Workers** — ``workers`` threads run batches through the warm models
   from the shared :class:`~repro.serve.pool.ModelPool` and resolve the
   per-request futures.  Autodiff mode flags are thread-local, so
@@ -28,7 +34,6 @@ Request lifecycle::
 from __future__ import annotations
 
 import collections
-import queue
 import threading
 import time
 from concurrent.futures import Future
@@ -68,7 +73,7 @@ class DeadlineExceeded(ServeError):
     """The request's deadline expired before a worker could serve it."""
 
 
-#: Exceptions caught by the engine's broad worker/scheduler handlers.
+#: Exceptions caught by the engine's broad submit/worker handlers.
 #: Most are *routed* into the request's future rather than dropped, but
 #: every one disappears from its own thread — this counter is the audit
 #: trail.  ``site`` names the handler, ``exc`` the exception type.
@@ -86,9 +91,9 @@ class _Pending:
     """A request riding through the engine with its timing and future.
 
     All timestamps (``t_submit``, ``t_dispatch``, ``deadline``) are
-    readings of the single :mod:`repro.obs.clock` — the scheduler's
-    flush arithmetic and ``drain()``'s timeout compare against the same
-    clock, so absolute times never cross clock domains.  (An earlier
+    readings of the single :mod:`repro.obs.clock` — the workers'
+    ``max_wait_ms`` arithmetic and ``drain()``'s timeout compare against
+    the same clock, so absolute times never cross clock domains.  (An earlier
     version stamped submit times with ``time.perf_counter()`` while
     ``drain()`` and the circuit breaker read ``time.monotonic()``;
     the two have unrelated epochs, which made any future mixing of
@@ -114,9 +119,6 @@ class _Pending:
         return self.deadline is not None and now > self.deadline
 
 
-_STOP = object()  # worker sentinel
-
-
 class InferenceServer:
     """Dynamic micro-batching server over the quantized model zoo.
 
@@ -126,10 +128,10 @@ class InferenceServer:
         The shared :class:`ModelPool` (models resolve lazily on first
         request for each family).
     max_batch:
-        Largest micro-batch the scheduler will form.
+        Largest micro-batch a worker will take.
     max_wait_ms:
-        Longest a request may sit in a partial bucket before the
-        scheduler flushes it anyway (the latency bound at low load).
+        Longest a request may sit in a partial bucket before a free
+        worker takes it anyway (the latency bound at low load).
     max_queue:
         In-flight request bound enforced at ``submit`` (backpressure).
     workers:
@@ -177,7 +179,7 @@ class InferenceServer:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if length_bucket < 1:
             # bucket_key rejects this per request; validating here keeps
-            # a bad dial from poisoning the scheduler at runtime.
+            # a bad dial from failing every submit at runtime.
             raise ValueError(
                 f"length_bucket must be >= 1, got {length_bucket}")
         self.pool = pool or ModelPool()
@@ -200,16 +202,15 @@ class InferenceServer:
             self.metrics = obs.MetricsServer(obs.REGISTRY,
                                              port=metrics_port)
         self._slots = threading.BoundedSemaphore(max_queue)
-        self._ingress: "queue.Queue[Optional[_Pending]]" = queue.Queue()
-        self._batches: "queue.Queue[Any]" = queue.Queue()
-        self._buckets: Dict[Hashable, Deque[_Pending]] = \
-            collections.OrderedDict()
+        self._buckets: Dict[Hashable, Deque[_Pending]] = {}
         self._inflight = 0
         self._state_lock = threading.Lock()
         self._idle = threading.Condition(self._state_lock)
+        #: Notified when a bucket may have become due (a submit, a
+        #: worker leaving requests behind, shutdown).
+        self._ready = threading.Condition(self._state_lock)
         self._closed = False
         self._started = False
-        self._scheduler: Optional[threading.Thread] = None
         self._workers: List[threading.Thread] = [
             threading.Thread(target=self._worker_loop,
                              name=f"serve-worker-{i}", daemon=True)
@@ -220,10 +221,6 @@ class InferenceServer:
         if self._started:
             return self
         self._started = True
-        self._scheduler = threading.Thread(target=self._scheduler_loop,
-                                           name="serve-scheduler",
-                                           daemon=True)
-        self._scheduler.start()
         for worker in self._workers:
             worker.start()
         if self.resilience is not None \
@@ -258,13 +255,22 @@ class InferenceServer:
                  timeout: Optional[float] = None) -> None:
         """Stop accepting requests, optionally drain, stop the threads.
 
-        With ``drain=False`` requests still queued or batched are failed
+        With ``drain=False`` requests no worker has taken yet are failed
         with :class:`ServerClosed` rather than silently dropped.
         """
         with self._state_lock:
             if self._closed:
                 return
             self._closed = True
+            abandoned: List[_Pending] = []
+            if not drain:
+                for pends in self._buckets.values():
+                    abandoned.extend(pends)
+                self._buckets.clear()
+            self._ready.notify_all()       # every bucket is due now
+        error = ServerClosed("server shut down before this request ran")
+        for pending in abandoned:
+            self._resolve(pending, error=error)
         if not self._started:
             if self.metrics is not None:
                 self.metrics.close()
@@ -274,40 +280,10 @@ class InferenceServer:
         if self.metrics is not None:
             self.metrics.close()
         self._scrub_stop.set()
-        self._ingress.put(None)            # wake + stop the scheduler
-        self._scheduler.join(timeout=30.0)
-        for _ in self._workers:
-            self._batches.put(_STOP)
         for worker in self._workers:
             worker.join(timeout=30.0)
         if self._scrub_thread is not None:
             self._scrub_thread.join(timeout=30.0)
-        if not drain:
-            self._fail_remaining()
-
-    def _fail_remaining(self) -> None:
-        error = ServerClosed("server shut down before this request ran")
-        leftovers: List[_Pending] = []
-        with self._state_lock:
-            for pends in self._buckets.values():
-                leftovers.extend(pends)
-            self._buckets.clear()
-        while True:
-            try:
-                item = self._ingress.get_nowait()
-            except queue.Empty:
-                break
-            if item is not None:
-                leftovers.append(item)
-        while True:
-            try:
-                job = self._batches.get_nowait()
-            except queue.Empty:
-                break
-            if job is not _STOP:
-                leftovers.extend(job[1])
-        for pending in leftovers:
-            self._resolve(pending, error=error)
 
     # --------------------------------------------------------------- submit
     def submit(self, kind: str, payload: Any, *,
@@ -334,6 +310,13 @@ class InferenceServer:
             deadline_s = self.resilience.request_deadline_s
         request = Request(kind, payload, max_len=max_len,
                           beam_size=beam_size)
+        try:
+            key = bucket_key(request, self.length_bucket)
+            key_error: Optional[Exception] = None
+        except Exception as error:
+            # A malformed request fails *its own* future below, after it
+            # is accounted, like any other request that cannot be served.
+            key, key_error = None, error
         if self._closed:
             raise ServerClosed("server is shut down")
         if self._breaker is not None and not self._breaker.allow():
@@ -347,100 +330,72 @@ class InferenceServer:
             self.stats.record_reject()
             raise ServerSaturated(
                 f"{self.max_queue} requests already in flight")
+        pending = _Pending(request, deadline_s=deadline_s)
         with self._state_lock:
             if self._closed:
                 self._slots.release()
                 raise ServerClosed("server is shut down")
             self._inflight += 1
-        pending = _Pending(request, deadline_s=deadline_s)
-        self.stats.record_submit()
-        self._ingress.put(pending)
+            # Counted before a worker can see the request, so queue
+            # depth never reads below zero.
+            self.stats.record_submit()
+            if key_error is None:
+                self._buckets.setdefault(
+                    key, collections.deque()).append(pending)
+                self._ready.notify()
+        if key_error is not None:
+            _count_swallowed("submit.bucket_key", key_error)
+            self._resolve(pending, error=key_error)
         return pending.future
 
-    # ------------------------------------------------------------ scheduler
-    def _scheduler_loop(self) -> None:
+    # -------------------------------------------------------------- workers
+    def _take_batch(self) -> Optional[List[_Pending]]:
+        """Wait for a due bucket; take up to ``max_batch`` requests.
+
+        A bucket is due when it holds ``max_batch`` requests, its oldest
+        request has waited ``max_wait_ms``, or shutdown has begun; of
+        the due buckets, the one with the oldest head goes first.
+        Returns None once the server is closed and no bucket is left.
+        """
         max_wait_s = self.max_wait_ms / 1e3
-        while True:
-            timeout = self._next_flush_in(max_wait_s)
-            try:
-                item = self._ingress.get(timeout=timeout)
-            except queue.Empty:
-                item = False                      # flush tick
-            if item is None:                      # shutdown
-                self._flush_all()
-                return
-            if item is not False:
-                try:
-                    key = bucket_key(item.request, self.length_bucket)
-                except BaseException as error:
-                    # A malformed request must fail *its own* future —
-                    # an uncaught raise here would kill the scheduler,
-                    # leak the request's queue-depth slot, and hang
-                    # every later drain().
-                    _count_swallowed("scheduler.bucket_key", error)
-                    self._resolve(item, error=error)
-                    key = None
-                if key is not None:
-                    with self._state_lock:
-                        self._buckets.setdefault(
-                            key, collections.deque()).append(item)
-            self._dispatch_ready(max_wait_s)
-
-    def _next_flush_in(self, max_wait_s: float) -> Optional[float]:
-        """Seconds until the oldest pending bucket must flush."""
+        with self._ready:
+            while True:
+                now = clock.now()
+                due_key, due_head, wake_at = None, None, None
+                for key, pends in self._buckets.items():
+                    head = pends[0].t_submit
+                    if (self._closed or len(pends) >= self.max_batch
+                            or now - head >= max_wait_s):
+                        if due_head is None or head < due_head:
+                            due_key, due_head = key, head
+                    elif wake_at is None or head + max_wait_s < wake_at:
+                        wake_at = head + max_wait_s
+                if due_head is not None:
+                    break
+                if self._closed:
+                    return None
+                self._ready.wait(None if wake_at is None else wake_at - now)
+            pends = self._buckets[due_key]
+            batch = [pends.popleft()
+                     for _ in range(min(self.max_batch, len(pends)))]
+            if not pends:
+                del self._buckets[due_key]
+            if self._buckets:
+                self._ready.notify()       # another worker may take the rest
         now = clock.now()
-        with self._state_lock:
-            oldest = min((pends[0].t_submit for pends
-                          in self._buckets.values() if pends),
-                         default=None)
-        if oldest is None:
-            return None
-        return max(oldest + max_wait_s - now, 0.0) or 1e-4
-
-    def _dispatch_ready(self, max_wait_s: float) -> None:
-        now = clock.now()
-        jobs: List[Tuple[Hashable, List[_Pending]]] = []
-        with self._state_lock:
-            for key in list(self._buckets):
-                pends = self._buckets[key]
-                while len(pends) >= self.max_batch:
-                    jobs.append((key, [pends.popleft()
-                                       for _ in range(self.max_batch)]))
-                if pends and now - pends[0].t_submit >= max_wait_s:
-                    jobs.append((key, list(pends)))
-                    pends.clear()
-                if not pends:
-                    del self._buckets[key]
-        for job in jobs:
-            self._emit(job)
-
-    def _flush_all(self) -> None:
-        with self._state_lock:
-            jobs = [(key, list(pends)) for key, pends
-                    in self._buckets.items() if pends]
-            self._buckets.clear()
-        for key, pends in jobs:
-            while pends:
-                self._emit((key, pends[:self.max_batch]))
-                pends = pends[self.max_batch:]
-
-    def _emit(self, job: Tuple[Hashable, List[_Pending]]) -> None:
-        now = clock.now()
-        for pending in job[1]:
+        for pending in batch:
             pending.t_dispatch = now
             obs.TRACER.record("serve.queue", pending.t_submit, now,
                               trace_id=pending.trace_id,
                               kind=pending.request.kind)
-        self.stats.record_batch(len(job[1]))
-        self._batches.put(job)
+        self.stats.record_batch(len(batch))
+        return batch
 
-    # -------------------------------------------------------------- workers
     def _worker_loop(self) -> None:
         while True:
-            job = self._batches.get()
-            if job is _STOP:
+            pends = self._take_batch()
+            if pends is None:
                 return
-            _, pends = job
             pends = self._drop_expired(pends)
             if not pends:
                 continue

@@ -4,8 +4,10 @@ The paper motivates AdaptivFloat by the efficiency of *deployed*
 inference (Table 4 budgets 81.2 us per inference on the accelerator);
 the serving engine therefore measures itself the way a deployment
 would: request/batch counters, queue-depth high-water marks, a
-batch-size histogram (how well the scheduler coalesces), and latency
-percentiles split into queue wait vs. total.
+batch-size histogram (how well requests coalesce), and latency
+percentiles split into queue wait vs. total.  Queue wait runs from
+submit until a worker takes the request's batch, so it includes waiting
+for a free worker.
 
 All mutation goes through one lock; reads (:meth:`ServerStats.snapshot`)
 produce a plain JSON-safe dict so benchmarks can embed it verbatim in
@@ -22,7 +24,8 @@ mirror costs one branch per event.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from array import array
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -34,6 +37,7 @@ __all__ = ["LatencyRecorder", "ServerStats"]
 #: Latency samples kept per recorder; enough for every benchmark in the
 #: repo while bounding memory for long-running servers (beyond the cap,
 #: new samples overwrite the oldest — percentile estimates stay recent).
+#: Samples are stored as packed doubles, 8 bytes each.
 _SAMPLE_CAP = 100_000
 
 # ---- process-wide obs mirror of the per-server counters ----------------
@@ -54,8 +58,8 @@ _QUEUE_PEAK = obs.gauge(
     "repro_serve_queue_depth_peak", "High-water mark of any one server's "
     "queue depth.")
 _BATCHES = obs.counter(
-    "repro_serve_batches_total", "Micro-batches dispatched by the "
-    "scheduler.")
+    "repro_serve_batches_total", "Micro-batches taken from the buckets "
+    "by workers.")
 _BATCH_SIZE = obs.histogram(
     "repro_serve_batch_size", "Requests coalesced per dispatched "
     "micro-batch.", buckets=SIZE_BUCKETS)
@@ -63,8 +67,9 @@ _LATENCY = obs.histogram(
     "repro_serve_latency_seconds", "Total request residence time "
     "(submit to resolve), successful requests only.")
 _QUEUE_WAIT = obs.histogram(
-    "repro_serve_queue_wait_seconds", "Submit-to-dispatch wait inside "
-    "the scheduler, successful requests only.")
+    "repro_serve_queue_wait_seconds", "Wait from submit until a worker "
+    "takes the request's batch (includes waiting for a free worker), "
+    "successful requests only.")
 _SCRUB_PASSES = obs.counter(
     "repro_serve_scrubs_total", "Scrub passes observed by serving "
     "(periodic daemon + on-demand).")
@@ -107,7 +112,7 @@ class LatencyRecorder:
         if cap < 1:
             raise ValueError(f"cap must be >= 1, got {cap}")
         self._cap = cap
-        self._samples: List[float] = []
+        self._samples = array("d")
         self._next = 0
         self.count = 0
         self.total = 0.0
@@ -136,7 +141,9 @@ class LatencyRecorder:
         """
         if not self._samples:
             return None
-        arr = np.asarray(self._samples, dtype=np.float64)
+        # A copy: a view would pin the buffer, and record() could not grow
+        # the array while the view lives.
+        arr = np.array(self._samples, dtype=np.float64)
         p50, p95, p99 = np.percentile(arr, [50.0, 95.0, 99.0])
         return {
             "mean_ms": round(float(arr.mean()) * 1e3, 4),
@@ -152,9 +159,9 @@ class LatencyRecorder:
 class ServerStats:
     """Aggregated counters for one :class:`~repro.serve.InferenceServer`.
 
-    ``record_*`` methods are called from client threads (submit), the
-    scheduler (dispatch), and workers (completion); every one takes the
-    internal lock, so a :meth:`snapshot` observes a consistent view.
+    ``record_*`` methods are called from client threads (submit) and
+    workers (dispatch and completion); every one takes the internal
+    lock, so a :meth:`snapshot` observes a consistent view.
     """
 
     def __init__(self) -> None:

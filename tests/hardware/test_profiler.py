@@ -1,5 +1,7 @@
 """Tests for MAC counting and the inference cost estimator."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,35 @@ class TestMacCounting:
                 a @ a
         assert inner.total == 8
         assert outer.total == 16
+
+    def test_counters_are_thread_local(self):
+        # A scope open on one thread must not count another thread's
+        # ops, in either direction (the serving workers share a process).
+        a = Tensor(np.zeros((2, 2), dtype=np.float32))
+        opened, release = threading.Event(), threading.Event()
+        totals = {}
+
+        def other_thread():
+            with count_macs() as counter:
+                opened.set()
+                release.wait(timeout=30.0)
+                a @ a
+            totals["other"] = counter.total
+
+        thread = threading.Thread(target=other_thread)
+        thread.start()
+        try:
+            assert opened.wait(timeout=30.0)
+            a @ a                       # outside any scope on this thread
+            with count_macs() as mine:
+                a @ a
+                a @ a
+        finally:
+            release.set()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert mine.total == 16
+        assert totals["other"] == 8
 
     def test_resnet_inference_counts(self):
         model = ResNet(ResNetConfig(blocks_per_stage=1)).eval()

@@ -265,14 +265,3 @@ def test_weight_quant_cache_invalidates_on_optimizer_step():
     q4 = wq(layer.weight).data
     np.testing.assert_array_equal(q3, q4)  # stable again until next step
 
-
-def test_weight_quant_cache_opt_out(monkeypatch):
-    rng = np.random.default_rng(0)
-    from repro.nn.layers import Linear
-    layer = Linear(4, 4, rng=rng)
-    attach_weight_quantizers(layer, QuantSpec("uniform", 8))
-    monkeypatch.setenv("REPRO_NO_WQCACHE", "1")
-    wq = layer.weight_fake_quant
-    wq(layer.weight)
-    wq(layer.weight)
-    assert wq.hits == 0 and wq.misses == 2

@@ -1,11 +1,14 @@
 """InferenceServer: lifecycle, coalescing, backpressure, error paths."""
 
+import sys
 import threading
 
 import pytest
 
+from repro.nn import deterministic_matmul
 from repro.serve import (InferenceServer, ModelPool, ServerClosed,
-                         ServerSaturated)
+                         ServerSaturated, serial_reference)
+from repro.serve.bench import build_requests
 
 SRC = [3, 4, 5, 6]
 
@@ -252,3 +255,49 @@ class TestQueueDepthAccounting:
             assert server.drain(timeout=30.0)
             assert self._depth(server) == 0
         assert futures[1].result(timeout=0) == futures[2].result(timeout=0)
+
+
+class TestMultiWorker:
+    def test_workers_share_buckets_token_identical(self, pool):
+        # Four workers take batches from the shared buckets while six
+        # client threads submit a ragged translate + classify mix; the
+        # short switch interval makes the threads interleave finely.
+        pool.get("resnet")
+        requests = [request for pair in zip(
+            build_requests("transformer", 18, seed=3, max_len=6),
+            build_requests("resnet", 18, seed=3)) for request in pair]
+        with deterministic_matmul():
+            expected = [serial_reference(pool.get(r.model_name), [r])[0]
+                        for r in requests]
+        max_batch, clients = 3, 6
+        server = InferenceServer(pool, max_batch=max_batch, max_wait_ms=2.0,
+                                 workers=4, deterministic=True)
+        futures = [None] * len(requests)
+
+        def client(offset):
+            for i in range(offset, len(requests), clients):
+                request = requests[i]
+                futures[i] = server.submit(request.kind, request.payload,
+                                           max_len=request.max_len)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server:
+                threads = [threading.Thread(target=client, args=(offset,))
+                           for offset in range(clients)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert server.drain(timeout=120.0)
+                snap = server.stats.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [f.result(timeout=0) for f in futures] == expected
+        assert snap["requests"]["submitted"] == len(requests)
+        assert snap["requests"]["completed"] == len(requests)
+        assert snap["queue"]["depth"] == 0
+        assert max(int(size) for size in snap["batches"]["histogram"]) \
+            <= max_batch
