@@ -82,6 +82,22 @@ def test_obs_overhead_gate():
         f"{record['p50_ms']:.2f}ms)")
 
 
+def test_probe_overhead_gate():
+    """CI tripwire: the self-healing Sanitizer probe must keep batch-1
+    translate and transcribe under 2.5x their plain latency on a warm
+    AdaptivFloat-8 pool.  Re-measuring every memoized weight on every
+    probed call cost about 3.5x and 5x."""
+    from repro.serve.bench import measure_probe_overhead
+
+    record = measure_probe_overhead(models=("transformer", "seq2seq"))
+    for model, probe in record.items():
+        assert probe["identical"], (model, probe)
+        assert probe["ratio"] < 2.5, (
+            f"{model} probe overhead regressed: {probe['ratio']:.2f}x "
+            f"({probe['plain_ms']:.1f}ms plain -> "
+            f"{probe['probed_ms']:.1f}ms probed)")
+
+
 def test_serve_token_identity_gate():
     """Batched padded decode must be token-identical to serial decode
     under deterministic_matmul for every model family."""

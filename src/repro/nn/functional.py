@@ -22,14 +22,19 @@ __all__ = [
 ]
 
 
-def _op(data: np.ndarray, parents: Tuple[Tensor, ...],
-        backward: Callable[[np.ndarray], None]) -> Tensor:
+def _node(data: np.ndarray, parents: Tuple[Tensor, ...],
+          backward: Callable[[np.ndarray], None]) -> Tensor:
     """Build an op-output tensor, skipping the graph when not needed."""
     if not is_grad_enabled() or not any(
             p.requires_grad or p._parents for p in parents):
-        out = Tensor(data)
-    else:
-        out = Tensor(data, parents=parents, backward=backward)
+        return Tensor(data)
+    return Tensor(data, parents=parents, backward=backward)
+
+
+def _op(data: np.ndarray, parents: Tuple[Tensor, ...],
+        backward: Callable[[np.ndarray], None]) -> Tensor:
+    """:func:`_node` plus the sanitizer's op-output check."""
+    out = _node(data, parents, backward)
     if _sanitize._ACTIVE:
         _sanitize.on_op(out, out.data, parents, backward)
     return out
@@ -266,7 +271,8 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 
 # ----------------------------------------------------- fake quantization/STE
 def fake_quantize(x: Tensor, quantize_fn: Callable[[np.ndarray], np.ndarray],
-                  ste_mask: Optional[np.ndarray] = None) -> Tensor:
+                  ste_mask: Optional[np.ndarray] = None,
+                  stats: Optional[_sanitize.QuantizeStats] = None) -> Tensor:
     """Quantize in the forward pass; straight-through in the backward pass.
 
     This is the standard quantization-aware-training construction: the
@@ -274,12 +280,18 @@ def fake_quantize(x: Tensor, quantize_fn: Callable[[np.ndarray], np.ndarray],
     (optionally masked by ``ste_mask``, e.g. to zero gradients of clamped
     values), so the optimizer keeps updating the latent FP32 weights while
     the loss sees quantized values — the paper's QAR procedure.
+
+    ``stats`` are the sanitizer's :func:`~repro.nn.sanitize.quantize_stats`
+    of this exact ``(x.data, quantize_fn(x.data))`` pair, for a caller
+    that already holds them (the weight-quant memo); without them an
+    active sanitizer measures the pair itself.
     """
     out = np.asarray(quantize_fn(x.data), dtype=np.float32)
-    if _sanitize._ACTIVE:
-        _sanitize.on_quantize(x.data, out)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad if ste_mask is None else grad * ste_mask)
 
-    return _op(out, (x,), backward)
+    node = _node(out, (x,), backward)
+    if _sanitize._ACTIVE:
+        _sanitize.on_quantize(x, node, stats)
+    return node

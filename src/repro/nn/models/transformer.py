@@ -1,11 +1,13 @@
 """Encoder-decoder Transformer (Vaswani et al. [28], scaled down).
 
 The paper evaluates a WMT'17 En-De Transformer (93M parameters).  Our
-substitute keeps the exact architecture — token embeddings, sinusoidal
+substitute keeps the architecture — token embeddings, sinusoidal
 positions, multi-head self/cross attention, LayerNorm (the source of the
-wide weight distributions in paper Fig. 1), position-wise FFN, weight-
-tied generator — at a width trainable on CPU for a synthetic
-translation task (DESIGN.md §2).
+wide weight distributions in paper Fig. 1), position-wise FFN and a
+linear generator — at a width trainable on CPU for a synthetic
+translation task (DESIGN.md §2).  The generator is its own ``Linear``,
+not tied to the target embedding, so it is a separate parameter and a
+separate fault-injection target.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from .. import obs
 from ..formats import AdaptiveQuantizer, Quantizer, make_quantizer
 from ..rng import fresh_rng
 from . import functional as F
+from . import sanitize as _sanitize
 from .layers import Conv2d, Embedding, Linear, LSTMCell
 from .module import Module
 from .tensor import Tensor
@@ -89,6 +90,13 @@ class WeightFakeQuant:
     ``param.bump_version()`` (all in-repo sites do); mutating the array
     *in place* without a bump is outside the contract.
 
+    The memo entry also keeps the sanitizer's
+    :func:`~repro.nn.sanitize.quantize_stats` for the pair, measured the
+    first time a :class:`~repro.nn.sanitize.Sanitizer` is active on the
+    entry; every later probed forward only re-judges them.  They share
+    the memo's contract: an in-place mutation without a version bump is
+    served stale stats along with the stale quantized array.
+
     ``hits`` / ``misses`` count cache outcomes for reporting and tests
     (see :func:`weight_quant_cache_stats`).
     """
@@ -97,31 +105,37 @@ class WeightFakeQuant:
         self.quantizer = quantizer
         self.hits = 0
         self.misses = 0
-        # id(weight Tensor) -> (version, backing array, quantized array)
-        self._cache: Dict[int, Tuple[int, np.ndarray, np.ndarray]] = {}
+        # id(weight Tensor) -> [version, backing array, quantized array,
+        #                       sanitizer stats or None until first needed]
+        self._cache: Dict[int, List[Any]] = {}
 
-    def _quantized(self, weight: Tensor) -> np.ndarray:
+    def _entry(self, weight: Tensor) -> List[Any]:
+        """The memo entry for ``weight``, quantizing it on a miss (an
+        unversioned tensor gets a fresh entry that is not kept)."""
         version = getattr(weight, "version", None)
-        if version is None:
-            self.misses += 1
-            _WQ_MISS.inc()
-            return self.quantizer.quantize(weight.data)
-        entry = self._cache.get(id(weight))
+        entry = self._cache.get(id(weight)) if version is not None else None
         if entry is not None and entry[0] == version \
                 and entry[1] is weight.data:
             self.hits += 1
             _WQ_HIT.inc()
-            return entry[2]
+            return entry
         self.misses += 1
         _WQ_MISS.inc()
         quantized = np.asarray(self.quantizer.quantize(weight.data),
                                dtype=np.float32)
-        self._cache[id(weight)] = (version, weight.data, quantized)
-        return quantized
+        entry = [version, weight.data, quantized, None]
+        if version is not None:
+            self._cache[id(weight)] = entry
+        return entry
 
     def __call__(self, weight: Tensor) -> Tensor:
-        quantized = self._quantized(weight)
-        return F.fake_quantize(weight, lambda _data, _q=quantized: _q)
+        entry = self._entry(weight)
+        if _sanitize._ACTIVE and _sanitize.is_active() and entry[3] is None:
+            # Concurrent fills of one shared entry measure the same arrays
+            # and store equal stats, so the race is benign.
+            entry[3] = _sanitize.quantize_stats(entry[1], entry[2])
+        return F.fake_quantize(weight, lambda _data, _q=entry[2]: _q,
+                               stats=entry[3])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"WeightFakeQuant({self.quantizer!r})"

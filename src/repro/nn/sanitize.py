@@ -43,8 +43,19 @@ object by default)::
 or process-wide via the environment: ``REPRO_SANITIZE=1`` activates the
 sanitizer at import time with ``action="raise"`` (the first fault raises
 :class:`NumericFault`); set ``REPRO_SANITIZE_ACTION=collect`` to log into
-:func:`global_report` instead.  When no sanitizer is active the hooks are
-a single ``is None`` check per op — effectively free.
+:func:`global_report` instead.  When no sanitizer is active on any thread
+each hook site costs one test of the live-sanitizer count ``_ACTIVE`` —
+effectively free.
+
+Cost under a sanitizer
+----------------------
+Each op output gets one ``np.isfinite(...).all()`` screen.  A quantize
+boundary splits into an O(n) :func:`quantize_stats` pass and an O(1)
+judgment against the active thresholds.  The weight-quant memo
+(:class:`~repro.nn.quantize.WeightFakeQuant`) keeps a weight's stats in
+its memo entry, so a memoized weight is measured once per
+``Parameter.version`` and every later probed forward replays only the
+judgment — the same findings in the same order.
 """
 
 from __future__ import annotations
@@ -52,14 +63,14 @@ from __future__ import annotations
 import dataclasses
 import os
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "NumericFinding", "NumericFault", "SanitizeReport", "Sanitizer",
-    "is_active", "global_report", "current_state",
-    "on_op", "on_grad", "on_quantize", "scan_parameters",
+    "QuantizeStats", "is_active", "global_report", "current_state",
+    "on_op", "on_grad", "on_quantize", "quantize_stats", "scan_parameters",
 ]
 
 
@@ -252,12 +263,8 @@ class Sanitizer:
 
 # --------------------------------------------------------------- inspection
 def _extremes_finite(a: np.ndarray) -> bool:
-    """Cheap two-reduction finiteness screen (NaN/Inf both poison min+max)."""
-    if a.size == 0:
-        return True
-    with np.errstate(all="ignore"):
-        s = float(a.min()) + float(a.max())
-    return bool(np.isfinite(s))
+    """One-pass finiteness screen (True for an empty array)."""
+    return bool(np.isfinite(a).all())
 
 
 def _stats(a: np.ndarray) -> Dict[str, Any]:
@@ -290,6 +297,18 @@ def _op_name(backward: Any) -> str:
 # resolve the *calling thread's* state (possibly None when a sanitizer
 # is live only on some other thread) and bail if there is none.
 
+def _forward_finding(state: _State, op: str, stats: Dict[str, Any]) -> None:
+    """Report an op output that went non-finite from finite inputs."""
+    if stats["nan"]:
+        state.emit("forward-nan", op, state.current_layer(),
+                   f"op produced {stats['nan']} NaN value(s) from finite "
+                   "inputs", stats)
+    elif op not in state.ignore_ops:
+        state.emit("forward-overflow", op, state.current_layer(),
+                   f"op produced {stats['inf']} Inf value(s) from finite "
+                   "inputs (overflow)", stats)
+
+
 def on_op(out: Any, data: np.ndarray, parents: Tuple[Any, ...],
           backward: Any) -> None:
     """Forward check: did this op manufacture NaN/Inf its inputs lacked?"""
@@ -302,16 +321,7 @@ def on_op(out: Any, data: np.ndarray, parents: Tuple[Any, ...],
         return
     if any(not _extremes_finite(p.data) for p in parents):
         return  # propagation: the originating op already reported
-    op = _op_name(backward)
-    stats = _stats(data)
-    if stats["nan"]:
-        state.emit("forward-nan", op, state.current_layer(),
-                   f"op produced {stats['nan']} NaN value(s) from finite "
-                   "inputs", stats)
-    elif op not in state.ignore_ops:
-        state.emit("forward-overflow", op, state.current_layer(),
-                   f"op produced {stats['inf']} Inf value(s) from finite "
-                   "inputs (overflow)", stats)
+    _forward_finding(state, _op_name(backward), _stats(data))
 
 
 def on_grad(node: Any) -> None:
@@ -337,50 +347,106 @@ def on_grad(node: Any) -> None:
                f"{stats['nan'] or stats['inf']} {noun} value(s)", stats)
 
 
-def on_quantize(inp: np.ndarray, out: np.ndarray) -> None:
-    """Quantize-boundary check: NaN manufacture, clamp storms, underflow."""
-    state = current_state()
-    if state is None:
-        return
-    state.report.ops_checked += 1
-    layer = state.current_layer()
+class QuantizeStats(NamedTuple):
+    """Everything the quantize-boundary check measures on one
+    ``(input, quantized output)`` pair.
+
+    Computing it is O(n) (:func:`quantize_stats`); judging it against a
+    sanitizer's thresholds is O(1), so a caller that quantizes the same
+    pair repeatedly — the weight-quant memo — keeps the stats beside the
+    quantized array and passes them back on every later call.
+    """
+
+    in_finite: bool
+    out_finite: bool
+    #: ``_stats(out)`` when the output went non-finite from finite input.
+    out_stats: Optional[Dict[str, Any]] = None
+    #: max |out|: the extreme codepoint the tensor reached.
+    top: Optional[float] = None
+    #: share of elements clamped to ``top`` (only when ``top > 0``).
+    clamped: Optional[float] = None
+    #: max |in| (NaN when the input carries NaN).
+    input_max: Optional[float] = None
+    nonzero: int = 0
+    #: share of nonzero inputs quantized to exactly zero.
+    flooded: Optional[float] = None
+
+
+def quantize_stats(inp: np.ndarray, out: np.ndarray) -> QuantizeStats:
+    """Measure one quantize boundary for :func:`on_quantize` to judge.
+
+    Only what a finding can need is computed: a non-finite output ends
+    the measurement, and an empty tensor has nothing to clamp or flood.
+    """
+    in_finite = _extremes_finite(inp)
     if not _extremes_finite(out):
-        if _extremes_finite(inp):
-            stats = _stats(out)
-            state.emit("quantize-nan", "fake_quantize", layer,
-                       "quantizer produced non-finite output from finite "
-                       "input", stats)
-        return
+        return QuantizeStats(in_finite, False,
+                             _stats(out) if in_finite else None)
     if inp.size == 0:
-        return
+        return QuantizeStats(in_finite, True)
     with np.errstate(invalid="ignore"):
         abs_in = np.abs(inp)
         abs_out = np.abs(out)
         top = abs_out.max()
-        if top > 0.0:
-            clamped = float(((abs_out >= top) & (abs_in > top)).mean())
-            if clamped > state.clamp_storm:
-                state.emit(
-                    "clamp-storm", "fake_quantize", layer,
-                    f"{clamped:.1%} of elements clamped to the extreme "
-                    f"codepoint {float(top):g} (input max "
-                    f"{float(abs_in.max()):g}); the format's value_max is "
-                    "too small for this tensor", {
-                        "clamped_fraction": clamped,
-                        "codepoint_max": float(top),
-                        "input_max": float(abs_in.max()),
-                    })
-        nonzero = int((inp != 0.0).sum())
-        if nonzero:
-            flooded = float(((inp != 0.0) & (out == 0.0)).sum() / nonzero)
-            if flooded > state.underflow_flood:
-                state.emit(
-                    "underflow-flood", "fake_quantize", layer,
-                    f"{flooded:.1%} of nonzero inputs quantized to zero; "
-                    "the format's value_min is too large for this tensor", {
-                        "flooded_fraction": flooded,
-                        "nonzero_inputs": nonzero,
-                    })
+        clamped = (float(((abs_out >= top) & (abs_in > top)).mean())
+                   if top > 0.0 else None)
+        input_max = float(abs_in.max())
+        live = inp != 0.0
+        nonzero = int(live.sum())
+        flooded = (float((live & (out == 0.0)).sum() / nonzero)
+                   if nonzero else None)
+    return QuantizeStats(in_finite, True, None, float(top), clamped,
+                         input_max, nonzero, flooded)
+
+
+def on_quantize(x: Any, out: Any,
+                stats: Optional[QuantizeStats] = None) -> None:
+    """Quantize-boundary check for ``out = fake_quantize(x, ...)``.
+
+    Judges NaN manufacture, clamp storms and underflow floods, then gives
+    ``out`` the op-output verdict :func:`on_op` gives every other op.
+    ``stats`` are :func:`quantize_stats` of ``(x.data, out.data)`` when
+    the caller already holds them; otherwise they are measured here.
+    Either way the findings, their order and ``ops_checked`` are the
+    same.
+    """
+    state = current_state()
+    if state is None:
+        return
+    if stats is None:
+        stats = quantize_stats(x.data, out.data)
+    layer = state.current_layer()
+    state.report.ops_checked += 1
+    if not stats.out_finite:
+        if stats.in_finite:
+            state.emit("quantize-nan", "fake_quantize", layer,
+                       "quantizer produced non-finite output from finite "
+                       "input", dict(stats.out_stats))
+    else:
+        if stats.clamped is not None and stats.clamped > state.clamp_storm:
+            state.emit(
+                "clamp-storm", "fake_quantize", layer,
+                f"{stats.clamped:.1%} of elements clamped to the extreme "
+                f"codepoint {stats.top:g} (input max "
+                f"{stats.input_max:g}); the format's value_max is too "
+                "small for this tensor", {
+                    "clamped_fraction": stats.clamped,
+                    "codepoint_max": stats.top,
+                    "input_max": stats.input_max,
+                })
+        if stats.flooded is not None \
+                and stats.flooded > state.underflow_flood:
+            state.emit(
+                "underflow-flood", "fake_quantize", layer,
+                f"{stats.flooded:.1%} of nonzero inputs quantized to zero; "
+                "the format's value_min is too large for this tensor", {
+                    "flooded_fraction": stats.flooded,
+                    "nonzero_inputs": stats.nonzero,
+                })
+    out._san_layer = layer
+    state.report.ops_checked += 1
+    if not stats.out_finite and stats.in_finite:
+        _forward_finding(state, "fake_quantize", dict(stats.out_stats))
 
 
 # ------------------------------------------------------------- parameter scan

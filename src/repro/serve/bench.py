@@ -20,9 +20,9 @@ from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Sequence
 
 from .. import obs
-from ..nn import deterministic_matmul
+from ..nn import Sanitizer, deterministic_matmul
 from ..rng import fresh_rng
-from .batching import KINDS, Request, serial_reference
+from .batching import KINDS, Request, run_microbatch, serial_reference
 from .engine import InferenceServer
 from .pool import ModelPool
 from .resilient import ResilienceConfig
@@ -30,7 +30,7 @@ from .stats import ServerStats
 
 __all__ = ["build_requests", "check_equivalence", "run_serve_benchmark",
            "run_fault_recovery", "measure_scrub_overhead",
-           "measure_obs_overhead"]
+           "measure_probe_overhead", "measure_obs_overhead"]
 
 _HARVEST_ERRORS = obs.counter(
     "repro_serve_swallowed_exceptions_total",
@@ -257,10 +257,10 @@ def measure_scrub_overhead(model: str = "transformer",
 
     The scrub-enabled run uses the integrity machinery alone (per-batch
     CRC verify + an aggressive periodic daemon; the Sanitizer probe is
-    off — it instruments every op and is priced separately): this is the
-    "scrubbing enabled" configuration the <5% p50 acceptance gate
-    covers.  Best-of-``repeats`` p50 on both sides on the same warm
-    pool/request mix.
+    off — it instruments every op, and :func:`measure_probe_overhead`
+    prices it): this is the "scrubbing enabled" configuration the <5%
+    p50 acceptance gate covers.  Best-of-``repeats`` p50 on both sides
+    on the same warm pool/request mix.
     """
     pool = ModelPool()
     pool.get(model)                   # warm before either timed path
@@ -301,6 +301,48 @@ def measure_scrub_overhead(model: str = "transformer",
         if base_p50 else 0.0,
         "scrub_counters": scrubbed["resilience"],
     }
+
+
+def measure_probe_overhead(models: Sequence[str] = ("transformer", "seq2seq",
+                                                   "resnet"),
+                           seed: int = 0) -> Dict[str, Dict]:
+    """Batch-1 latency cost of the self-healing Sanitizer probe.
+
+    Per family, one request's :func:`run_microbatch` (decode cap 16)
+    runs plain and under the collecting :class:`~repro.nn.Sanitizer` the
+    resilient engine wraps every micro-batch in (built per batch, as the
+    engine does), on one warm AdaptivFloat-8 pool — the paper's format,
+    and the served configuration whose weight-quant memo keeps the
+    probe's stats.  The two sides alternate round by round so host load
+    lands on both, and each keeps its fastest of 5 rounds.  ``ratio`` is
+    probed over plain; the probe observes and never perturbs, so
+    ``identical`` must hold.
+    """
+    pool = ModelPool(quant=("adaptivfloat", 8))
+    record: Dict[str, Dict] = {}
+    for model in models:
+        entry = pool.get(model)
+        requests = build_requests(model, 1, seed=seed, max_len=16)
+        with Sanitizer(entry.model, action="collect"):
+            run_microbatch(entry, requests)     # warm the probe's stats
+        plain_s = probed_s = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            plain = run_microbatch(entry, requests)
+            plain_s = min(plain_s, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            with Sanitizer(entry.model, action="collect") as report:
+                probed = run_microbatch(entry, requests)
+            probed_s = min(probed_s, time.perf_counter() - t0)
+        record[model] = {
+            "plain_ms": round(plain_s * 1e3, 3),
+            "probed_ms": round(probed_s * 1e3, 3),
+            "ratio": round(probed_s / plain_s, 3),
+            "ops_checked": report.ops_checked,
+            "findings": len(report.findings),
+            "identical": _same_result(plain, probed),
+        }
+    return record
 
 
 def measure_obs_overhead(model: str = "transformer",

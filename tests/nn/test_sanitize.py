@@ -7,6 +7,7 @@ zero findings and sub-2x overhead.
 """
 
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -234,21 +235,22 @@ class TestOverhead:
         x = nn.Tensor(fresh_rng(5).normal(size=(128, 256)))
 
         def timed(reps=20):
-            best = float("inf")
-            for _ in range(3):
-                t0 = time.perf_counter()
-                with nn.no_grad():
-                    for _ in range(reps):
-                        model(x)
-                best = min(best, time.perf_counter() - t0)
-            return best
+            t0 = time.perf_counter()
+            with nn.no_grad():
+                for _ in range(reps):
+                    model(x)
+            return time.perf_counter() - t0
 
         timed(5)  # warm caches (codebooks, import side effects)
-        plain = timed()
-        with nn.Sanitizer(model):
-            instrumented = timed()
-        assert instrumented < 2.0 * plain, \
-            f"sanitizer overhead {instrumented / plain:.2f}x"
+        # alternate the two sides round by round, so load from the rest
+        # of the host lands on both alike, and compare the medians
+        plain, instrumented = [], []
+        for _ in range(7):
+            plain.append(timed())
+            with nn.Sanitizer(model):
+                instrumented.append(timed())
+        ratio = statistics.median(instrumented) / statistics.median(plain)
+        assert ratio < 2.0, f"sanitizer overhead {ratio:.2f}x"
 
     def test_hooks_are_noops_when_inactive(self):
         # direct calls with no state must bail without touching anything

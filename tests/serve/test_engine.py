@@ -6,8 +6,8 @@ import threading
 import pytest
 
 from repro.nn import deterministic_matmul
-from repro.serve import (InferenceServer, ModelPool, ServerClosed,
-                         ServerSaturated, serial_reference)
+from repro.serve import (InferenceServer, ModelPool, ResilienceConfig,
+                         ServerClosed, ServerSaturated, serial_reference)
 from repro.serve.bench import build_requests
 
 SRC = [3, 4, 5, 6]
@@ -301,3 +301,53 @@ class TestMultiWorker:
         assert snap["queue"]["depth"] == 0
         assert max(int(size) for size in snap["batches"]["histogram"]) \
             <= max_batch
+
+    def test_probed_workers_fill_shared_memo_token_identical(self):
+        # The same mix on the self-healing path over an AdaptivFloat-8
+        # pool: every batch runs under a Sanitizer probe, so the four
+        # workers fill the quantize stats of the pool-shared weight-quant
+        # memo concurrently, on first use.
+        pool = ModelPool(quant=("adaptivfloat", 8))
+        requests = [request for pair in zip(
+            build_requests("transformer", 18, seed=3, max_len=6),
+            build_requests("resnet", 18, seed=3)) for request in pair]
+        with deterministic_matmul():
+            expected = [serial_reference(pool.get(r.model_name), [r])[0]
+                        for r in requests]
+        server = InferenceServer(
+            pool, max_batch=3, max_wait_ms=2.0, workers=4,
+            deterministic=True,
+            resilience=ResilienceConfig(scrub_interval_s=None))
+        clients = 6
+        futures = [None] * len(requests)
+
+        def client(offset):
+            for i in range(offset, len(requests), clients):
+                request = requests[i]
+                futures[i] = server.submit(request.kind, request.payload,
+                                           max_len=request.max_len)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server:
+                threads = [threading.Thread(target=client, args=(offset,))
+                           for offset in range(clients)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert server.drain(timeout=120.0)
+                snap = server.stats.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [f.result(timeout=0) for f in futures] == expected
+        assert snap["requests"]["completed"] == len(requests)
+        assert snap["resilience"]["faults_detected"] == 0
+        assert snap["resilience"]["retries"] == 0
+        for name in ("transformer", "resnet"):
+            for module in pool.get(name).model.modules():
+                if module.weight_fake_quant is not None:
+                    assert all(entry[3] is not None for entry in
+                               module.weight_fake_quant._cache.values())
