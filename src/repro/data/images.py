@@ -12,11 +12,12 @@ deltas are visible.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
 from ..rng import fresh_rng
+from .shared import shared_batch
 
 __all__ = ["ImageBatch", "ImageTask"]
 
@@ -40,6 +41,7 @@ class ImageTask:
         self.max_shift = max_shift
         self.seed = seed
         self._templates = self._build_templates()
+        self._eval_sets: Dict = {}
 
     def _build_templates(self) -> np.ndarray:
         """Smooth unit-variance class templates from low-frequency Fourier
@@ -81,5 +83,7 @@ class ImageTask:
             yield self.sample(batch_size, rng)
 
     def eval_set(self, count: int = 256, seed_offset: int = 10_000) -> ImageBatch:
-        rng = fresh_rng(self.seed + seed_offset)
-        return self.sample(count, rng)
+        """A fixed held-out batch, built once and shared read-only."""
+        return shared_batch(
+            self._eval_sets, (count, seed_offset, self.seed),
+            lambda: self.sample(count, fresh_rng(self.seed + seed_offset)))

@@ -13,11 +13,12 @@ Token conventions: 0 = PAD, 1 = BOS, 2 = EOS, content tokens start at 3.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ..rng import fresh_rng
+from .shared import shared_batch
 
 __all__ = ["SpeechBatch", "SpeechTask", "PAD_ID", "BOS_ID", "EOS_ID"]
 
@@ -32,7 +33,7 @@ class SpeechBatch:
     frames: np.ndarray     # (B, T_frames, feat) float32
     tgt_in: np.ndarray     # (B, T_tgt) decoder input (BOS-prefixed)
     tgt_out: np.ndarray    # (B, T_tgt) decoder target (EOS-terminated)
-    refs: List[List[int]]  # unpadded reference transcripts
+    refs: Sequence[Sequence[int]]  # unpadded reference transcripts
 
 
 class SpeechTask:
@@ -51,6 +52,7 @@ class SpeechTask:
         protos = codebook_rng.normal(size=(vocab, feat_dim))
         self._protos = (protos / np.linalg.norm(protos, axis=1, keepdims=True)
                         ).astype(np.float32)
+        self._eval_sets: Dict = {}
 
     # ------------------------------------------------------------ sampling
     def sample_utterances(self, count: int, rng: np.random.Generator
@@ -94,8 +96,12 @@ class SpeechTask:
             yield self.make_batch(self.sample_utterances(batch_size, rng))
 
     def eval_set(self, count: int = 128, seed_offset: int = 10_000) -> SpeechBatch:
-        rng = fresh_rng(self.seed + seed_offset)
-        return self.make_batch(self.sample_utterances(count, rng))
+        """A fixed held-out batch, built once and shared read-only (its
+        ``refs`` are tuples)."""
+        return shared_batch(
+            self._eval_sets, (count, seed_offset, self.seed),
+            lambda: self.make_batch(self.sample_utterances(
+                count, fresh_rng(self.seed + seed_offset))))
 
     @staticmethod
     def strip(ids: np.ndarray) -> List[List[int]]:

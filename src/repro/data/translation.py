@@ -13,11 +13,12 @@ Token conventions: 0 = PAD, 1 = BOS, 2 = EOS, content tokens start at 3.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from ..rng import fresh_rng
+from .shared import shared_batch
 
 __all__ = ["TranslationBatch", "TranslationTask", "PAD_ID", "BOS_ID", "EOS_ID"]
 
@@ -47,6 +48,7 @@ class TranslationTask:
         self.seed = seed
         self.keyed_shift = keyed_shift
         self._content = vocab - _CONTENT_START
+        self._eval_sets: Dict = {}
 
     # ------------------------------------------------------------ sampling
     def translate(self, src_tokens: List[int]) -> List[int]:
@@ -99,9 +101,11 @@ class TranslationTask:
 
     def eval_set(self, count: int = 128,
                  seed_offset: int = 10_000) -> TranslationBatch:
-        """A fixed held-out evaluation batch."""
-        rng = fresh_rng(self.seed + seed_offset)
-        return self.make_batch(self.sample_pairs(count, rng))
+        """A fixed held-out batch, built once and shared read-only."""
+        return shared_batch(
+            self._eval_sets, (count, seed_offset, self.seed),
+            lambda: self.make_batch(self.sample_pairs(
+                count, fresh_rng(self.seed + seed_offset))))
 
     @staticmethod
     def strip(ids: np.ndarray) -> List[List[int]]:

@@ -6,7 +6,7 @@ optimizers, and the fake-quantization machinery for post-training
 quantization (PTQ) and quantization-aware retraining (QAR).
 """
 
-from . import decoding, functional, init, layers, optim, sanitize
+from . import decoding, functional, init, layers, optim, sanitize, trace
 from .decoding import (AttentionKVCache, DecoderKVCache, LayerKVCache,
                        pad_hypotheses)
 from .layers import (LSTM, AdditiveAttention, BatchNorm2d, Conv2d, Dropout,
@@ -21,6 +21,7 @@ from .prune import magnitude_prune, sparsity_report
 from .trainer import Trainer, TrainHistory
 from .sanitize import (NumericFault, NumericFinding, SanitizeReport,
                        Sanitizer, scan_parameters)
+from .trace import CallTrace
 from .quantize import (ActFakeQuant, QuantSpec, WeightFakeQuant,
                        attach_act_quantizers, attach_weight_quantizers,
                        calibrate, detach_quantizers,
@@ -30,7 +31,7 @@ from .quantize import (ActFakeQuant, QuantSpec, WeightFakeQuant,
 
 __all__ = [
     "ActFakeQuant", "Adam", "AdditiveAttention", "AttentionKVCache",
-    "BatchNorm2d", "Conv2d", "DecoderKVCache",
+    "BatchNorm2d", "CallTrace", "Conv2d", "DecoderKVCache",
     "Dropout", "Embedding", "GELU", "LSTM", "LSTMCell", "LayerKVCache",
     "LayerNorm",
     "Linear", "Module", "ModuleList", "MultiHeadAttention", "NumericFault",
@@ -46,5 +47,5 @@ __all__ = [
     "prune", "quantize",
     "sanitize", "scan_parameters",
     "quantize_weights_inplace", "reset_weight_quant_cache_stats",
-    "schedules", "sparsity_report", "weight_quant_cache_stats",
+    "schedules", "sparsity_report", "trace", "weight_quant_cache_stats",
 ]

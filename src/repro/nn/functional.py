@@ -176,12 +176,20 @@ def _pad_input(x: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
+#: Images per im2col slice: ``conv2d`` builds the column matrix and runs
+#: the GEMM this many images at a time, so a 256-image evaluation never
+#: holds its whole column matrix.  Stacked matmul runs one GEMM per image,
+#: so slicing leaves every output bit unchanged.
+_IM2COL_SLICE = 32
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution, NCHW layout, square stride/padding.
 
     ``x``: (B, C, H, W); ``weight``: (F, C, KH, KW); output (B, F, OH, OW).
-    Implemented with an im2col strided view and a single GEMM.
+    Implemented with an im2col strided view and one GEMM per slice of at
+    most ``_IM2COL_SLICE`` images.
     """
     batch, in_ch, _, _ = x.shape
     out_ch, w_in_ch, kh, kw = weight.shape
@@ -199,15 +207,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     windows = np.lib.stride_tricks.as_strided(
         xp, shape=(batch, in_ch, kh, kw, oh, ow),
         strides=(sb, sc, sh, sw, sh * stride, sw * stride), writeable=False)
-    cols = windows.reshape(batch, in_ch * kh * kw, oh * ow)
-    wmat = weight.data.reshape(out_ch, in_ch * kh * kw)
-    out = (wmat[None] @ cols).reshape(batch, out_ch, oh, ow)
+    ckk = in_ch * kh * kw
+    wmat = weight.data.reshape(out_ch, ckk)
+    out = np.empty((batch, out_ch, oh * ow), dtype=np.result_type(wmat, xp))
+    for lo in range(0, batch or 1, _IM2COL_SLICE):   # an empty batch: one
+        hi = min(lo + _IM2COL_SLICE, batch)          # empty slice
+        cols = windows[lo:hi].reshape(hi - lo, ckk, oh * ow)
+        np.matmul(wmat[None], cols, out=out[lo:hi])
+    out = out.reshape(batch, out_ch, oh, ow)
     if bias is not None:
         out = out + bias.data.reshape(1, out_ch, 1, 1)
 
     def backward(grad: np.ndarray) -> None:
         gout = grad.reshape(batch, out_ch, oh * ow)
-        gw = np.einsum("bfo,bco->fc", gout, cols,
+        # one slice already holds the whole batch's columns
+        full = cols if batch <= _IM2COL_SLICE \
+            else windows.reshape(batch, ckk, oh * ow)
+        gw = np.einsum("bfo,bco->fc", gout, full,
                        optimize=True).reshape(weight.shape)
         weight._accumulate(gw)
         if bias is not None:

@@ -20,6 +20,7 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 
 from . import sanitize as _sanitize
+from . import trace as _trace
 from .tensor import Tensor
 
 __all__ = ["Parameter", "Module", "ModuleList", "Sequential"]
@@ -203,7 +204,17 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        state = _sanitize.current_state() if _sanitize._ACTIVE else None
+        if not _sanitize._HOOKS:
+            return self.forward(*args, **kwargs)
+        scope = _trace._TLS.scope
+        if scope is not None:
+            return scope.call(self, args, kwargs)
+        return self._run_hooked(args, kwargs)
+
+    def _run_hooked(self, args: tuple, kwargs: dict):
+        """Run ``forward`` under the calling thread's sanitizer, if any
+        (its findings name this module's layer)."""
+        state = _sanitize.current_state()
         if state is None:
             return self.forward(*args, **kwargs)
         state.push_module(self)

@@ -44,7 +44,8 @@ or process-wide via the environment: ``REPRO_SANITIZE=1`` activates the
 sanitizer at import time with ``action="raise"`` (the first fault raises
 :class:`NumericFault`); set ``REPRO_SANITIZE_ACTION=collect`` to log into
 :func:`global_report` instead.  When no sanitizer is active on any thread
-each hook site costs one test of the live-sanitizer count ``_ACTIVE`` —
+each op hook site costs one test of the live-sanitizer count ``_ACTIVE``,
+and ``Module.__call__`` one test of the live-hook count ``_HOOKS`` —
 effectively free.
 
 Cost under a sanitizer
@@ -154,6 +155,9 @@ class _State:
              stats: Dict[str, Any]) -> None:
         finding = NumericFinding(kind=kind, op=op, layer=layer,
                                  message=message, stats=stats)
+        log = getattr(_TLS, "findings_log", None)
+        if log is not None:
+            log.append((self.report.ops_checked, finding))
         if self.action == "raise":
             raise NumericFault(finding)
         if len(self.report.findings) < self.max_findings:
@@ -169,9 +173,13 @@ class _State:
 #: installed by the ``REPRO_SANITIZE`` env knob.  ``_ACTIVE`` counts live
 #: states across all threads so the per-op guard in the hot path stays a
 #: single global load + truthiness test when nothing is active.
+#: ``_HOOKS`` counts every live hook on ``Module.__call__`` — sanitizer
+#: states plus :mod:`repro.nn.trace` scopes — so the per-call guard is
+#: the same single test.
 _TLS = threading.local()
 _GLOBAL_STATE: Optional[_State] = None
 _ACTIVE = 0
+_HOOKS = 0
 _ACTIVE_LOCK = threading.Lock()
 
 
@@ -181,15 +189,37 @@ def current_state() -> Optional[_State]:
 
 
 def _retain_state() -> None:
-    global _ACTIVE
+    global _ACTIVE, _HOOKS
     with _ACTIVE_LOCK:
         _ACTIVE += 1
+        _HOOKS += 1
 
 
 def _release_state() -> None:
-    global _ACTIVE
+    global _ACTIVE, _HOOKS
     with _ACTIVE_LOCK:
         _ACTIVE -= 1
+        _HOOKS -= 1
+
+
+def _retain_hook() -> None:
+    """Count one more live ``Module.__call__`` hook (a trace scope)."""
+    global _HOOKS
+    with _ACTIVE_LOCK:
+        _HOOKS += 1
+
+
+def _release_hook() -> None:
+    global _HOOKS
+    with _ACTIVE_LOCK:
+        _HOOKS -= 1
+
+
+def _log_findings(log: Optional[List]) -> None:
+    """Append ``(ops_checked, finding)`` to ``log`` for every finding
+    this thread emits, until called with None (the call trace records
+    what a module call emitted this way)."""
+    _TLS.findings_log = log
 
 
 def is_active() -> bool:
@@ -291,8 +321,8 @@ def _op_name(backward: Any) -> str:
 
 
 # --------------------------------------------------------------------- hooks
-# Called from repro.nn.tensor / repro.nn.functional / Module.__call__.
-# Each caller guards on the `_ACTIVE` count, so the common (inactive)
+# Called from repro.nn.tensor / repro.nn.functional.  Each caller
+# guards on the `_ACTIVE` count, so the common (inactive)
 # cost is one global load + truthiness test per op; the hooks then
 # resolve the *calling thread's* state (possibly None when a sanitizer
 # is live only on some other thread) and bail if there is none.

@@ -30,11 +30,14 @@ through the same draws):
   TrialEngine` (encode once per cell, sparse patch-decode of only the
   flipped words), installs the fault via
   :meth:`repro.nn.Module.swap_parameter`, rescans only the corrupted
-  tensor (clean findings for the untouched ones are cached), and — when
-  the faulty probe logits are bit-identical to the clean ones — reuses
-  the clean task score instead of re-running the evaluation (*masked
-  faults score as clean*; see ``docs/resilience.md``).  Only score
-  aggregates can differ from the naive loop, and only on masked trials.
+  tensor (clean findings for the untouched ones are cached), replays the
+  cell's recorded clean probe and evaluation up to the first module call
+  that reads the faulted tensor (:class:`repro.nn.CallTrace`), and —
+  when the faulty probe logits are bit-identical to the clean ones —
+  reuses the clean task score instead of re-running the evaluation
+  (*masked faults score as clean*; see ``docs/resilience.md``).  Only
+  score aggregates can differ from the naive loop, and only on masked
+  trials.
 
 A cell's trials are additionally **sharded**: ``run`` splits them into
 contiguous seeded chunks dispatched through
@@ -54,6 +57,7 @@ blocks reload stably).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -180,6 +184,13 @@ def _cell_hash(cell: Dict) -> int:
     return int(content_key({k: cell[k] for k in _LOGICAL_KEYS})[:12], 16)
 
 
+def _traced(trace: Optional[nn.CallTrace], record: bool = False):
+    """Record into or replay from ``trace``; nothing without one."""
+    if trace is None:
+        return contextlib.nullcontext()
+    return trace.record() if record else trace.replay()
+
+
 class _SingleParameter:
     """Minimal ``named_parameters()`` shim: rescan one tensor by name."""
 
@@ -200,7 +211,9 @@ class _CellContext:
     :func:`repro.nn.scan_parameters` findings per parameter, and
     single-parameter scan views — so a trial rescans only the corrupted
     tensor yet reproduces the full-scan findings list exactly (findings
-    concatenate in ``named_parameters`` order either way).
+    concatenate in ``named_parameters`` order either way) — plus the
+    call traces of the clean probe (recorded under a sanitizer, as every
+    trial probes) and of the clean evaluation, which its trials replay.
     """
 
     def __init__(self, cell: Dict, engine: bool, scoring: bool = True) -> None:
@@ -222,13 +235,20 @@ class _CellContext:
 
         self.model, _ = self.bundle.build()
         self.model.load_state_dict(self.clean_state)
+        self.probe_trace = self.score_trace = None
         if scoring:
+            if engine:
+                self.probe_trace = nn.CallTrace(self.model)
+                self.score_trace = nn.CallTrace(self.model)
             self.probe_batch = self.task.eval_set(_PROBE_SIZE)
-            self.clean_logits = _probe_logits(cell["model"], self.model,
-                                              self.probe_batch)
+            with _traced(self.probe_trace, record=True), \
+                    nn.Sanitizer(self.model):
+                self.clean_logits = _probe_logits(cell["model"], self.model,
+                                                  self.probe_batch)
             self.clean_argmax = np.argmax(self.clean_logits, axis=-1)
-            self.clean_score = self.bundle.evaluate(self.model, self.task,
-                                                    self.prof.eval_size)
+            with _traced(self.score_trace, record=True):
+                self.clean_score = self.bundle.evaluate(
+                    self.model, self.task, self.prof.eval_size)
         else:
             self.probe_batch = None
             self.clean_logits = self.clean_argmax = None
@@ -329,7 +349,8 @@ def run_chunk(cell: Dict) -> Dict:
                 restore = ctx.model.swap_parameter(target, faulty)
                 with np.errstate(all="ignore"):
                     findings = ctx.scan_with_fault(target)
-                    with nn.Sanitizer(ctx.model) as report:
+                    with ctx.probe_trace.replay(), \
+                            nn.Sanitizer(ctx.model) as report:
                         logits = _probe_logits(cell["model"], ctx.model,
                                                ctx.probe_batch)
             else:
@@ -372,7 +393,7 @@ def run_chunk(cell: Dict) -> Dict:
                 # probe, so score it as clean instead of re-evaluating.
                 score = float(ctx.clean_score)
             else:
-                with np.errstate(all="ignore"):
+                with np.errstate(all="ignore"), _traced(ctx.score_trace):
                     score = float(ctx.bundle.evaluate(ctx.model, ctx.task,
                                                       ctx.prof.eval_size))
             if np.isfinite(score):
