@@ -11,7 +11,7 @@ import json
 import pathlib
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..cache import cache_dir
+from ..cache import cache_dir, write_json_atomic
 
 __all__ = ["format_table", "save_result", "load_result", "fmt"]
 
@@ -51,10 +51,8 @@ def _results_dir() -> pathlib.Path:
 
 def save_result(name: str, payload: Dict[str, Any]) -> pathlib.Path:
     """Persist an experiment result dict as JSON (inf-safe)."""
-    path = _results_dir() / f"{name}.json"
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, default=str)
-    return path
+    return write_json_atomic(_results_dir() / f"{name}.json", payload,
+                             default=str)
 
 
 def load_result(name: str) -> Optional[Dict[str, Any]]:

@@ -19,7 +19,7 @@ import tempfile
 from typing import Any, Optional
 
 __all__ = ["cache_dir", "content_key", "cell_cache_path",
-           "load_cached_json", "store_cached_json"]
+           "load_cached_json", "store_cached_json", "write_json_atomic"]
 
 
 def cache_dir() -> pathlib.Path:
@@ -63,18 +63,27 @@ def load_cached_json(namespace: str, key: str) -> Optional[Any]:
 def store_cached_json(namespace: str, key: str, value: Any) -> pathlib.Path:
     """Atomically persist ``value`` under ``key``; returns the path.
 
-    The temp-file + ``os.replace`` dance means a concurrent reader sees
-    either nothing or a complete JSON document, never a partial write.
     Non-JSON-serializable payloads raise ``TypeError`` (mirroring
     :func:`content_key`) rather than being silently stringified into a
     poisoned cell that every later warm run would faithfully replay.
     """
     path = cell_cache_path(namespace, key)
     path.parent.mkdir(parents=True, exist_ok=True)
+    return write_json_atomic(path, value, sort_keys=True)
+
+
+def write_json_atomic(path: pathlib.Path, value: Any,
+                      **dump_kwargs: Any) -> pathlib.Path:
+    """Write ``value`` as indented JSON to ``path`` via a temp file.
+
+    The temp-file + ``os.replace`` dance means a concurrent reader sees
+    either nothing or a complete JSON document, and concurrent writers
+    leave one of their documents whole, never an interleaving.
+    """
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(value, fh, indent=2, sort_keys=True)
+            json.dump(value, fh, indent=2, **dump_kwargs)
         os.replace(tmp, path)
     except BaseException:
         try:

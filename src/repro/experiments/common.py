@@ -18,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import pathlib
+import threading
 from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
@@ -33,7 +35,8 @@ from ..nn.models import (ResNet, ResNetConfig, Seq2Seq, Seq2SeqConfig,
 
 __all__ = [
     "MODEL_NAMES", "ModelBundle", "TrainProfile", "PROFILES",
-    "cache_dir", "get_bundle", "trained_model", "qar_retrain",
+    "cache_dir", "checkpoint_path", "get_bundle", "trained_model",
+    "qar_retrain",
 ]
 
 MODEL_NAMES = ("transformer", "seq2seq", "resnet")
@@ -200,6 +203,20 @@ def _cache_key(name: str, profile: TrainProfile) -> str:
     return hashlib.sha1(payload.encode()).hexdigest()[:12]
 
 
+#: Serializes checkpoint loads and writes across threads.  numpy parses
+#: every array header with ``ast.literal_eval``, and CPython 3.11 keeps
+#: the AST constructor's recursion depth in interpreter-wide state, so
+#: two threads loading at once can raise ``SystemError``; two threads
+#: training one missing checkpoint would both write its file.
+_CHECKPOINT_LOCK = threading.Lock()
+
+
+def checkpoint_path(name: str, profile: str = "full") -> pathlib.Path:
+    """Where :func:`trained_model` keeps the FP32 checkpoint of a model."""
+    prof = PROFILES[profile]
+    return cache_dir() / f"{name}_{prof.name}_{_cache_key(name, prof)}.npz"
+
+
 def trained_model(name: str, profile: str = "full",
                   force_retrain: bool = False
                   ) -> Tuple[nn.Module, object, float]:
@@ -207,20 +224,21 @@ def trained_model(name: str, profile: str = "full",
     bundle = get_bundle(name)
     prof = PROFILES[profile]
     model, task = bundle.build()
-    path = cache_dir() / f"{name}_{prof.name}_{_cache_key(name, prof)}.npz"
-    if path.exists() and not force_retrain:
-        blob = np.load(path, allow_pickle=False)
-        state = {k: blob[k] for k in blob.files if k != "__score__"}
-        model.load_state_dict(state)
-        score = float(blob["__score__"])
-        model.eval()
-        return model, task, score
-    _train(model, task, bundle, prof.train_steps[name],
-           prof.batch_size, prof.lr)
-    score = bundle.evaluate(model, task, prof.eval_size)
-    state = model.state_dict()
-    state["__score__"] = np.asarray(score)
-    np.savez(path, **state)
+    path = checkpoint_path(name, profile)
+    with _CHECKPOINT_LOCK:
+        if path.exists() and not force_retrain:
+            with np.load(path, allow_pickle=False) as blob:
+                state = {k: blob[k] for k in blob.files if k != "__score__"}
+                score = float(blob["__score__"])
+            model.load_state_dict(state)
+            model.eval()
+            return model, task, score
+        _train(model, task, bundle, prof.train_steps[name],
+               prof.batch_size, prof.lr)
+        score = bundle.evaluate(model, task, prof.eval_size)
+        state = model.state_dict()
+        state["__score__"] = np.asarray(score)
+        np.savez(path, **state)
     model.eval()
     return model, task, score
 

@@ -28,6 +28,7 @@ without caring whether a table fits in memory.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
@@ -59,6 +60,8 @@ _LUT_CACHE_SIZE = 128
 _LUT_CACHE: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
 _LUT_HITS = 0
 _LUT_MISSES = 0
+#: Guards the LRU and its counters; tables are built outside it.
+_LUT_LOCK = threading.Lock()
 
 
 def encode_tensor(quantizer: Quantizer, values: np.ndarray,
@@ -129,12 +132,13 @@ def decode_lut(quantizer: Quantizer,
     key = _lut_key(quantizer, params)
     if key is None:
         return None
-    table = _LUT_CACHE.get(key)
-    if table is not None:
-        _LUT_CACHE.move_to_end(key)
-        _LUT_HITS += 1
-        return table
-    _LUT_MISSES += 1
+    with _LUT_LOCK:
+        table = _LUT_CACHE.get(key)
+        if table is not None:
+            _LUT_CACHE.move_to_end(key)
+            _LUT_HITS += 1
+            return table
+        _LUT_MISSES += 1
     words = np.arange(2 ** quantizer.bits, dtype=np.uint32)
     # A corrupted register (Inf/NaN scale) legitimately decodes to
     # non-finite values; suppress numpy's FP warnings while building.
@@ -142,9 +146,11 @@ def decode_lut(quantizer: Quantizer,
         table = np.asarray(decode_tensor(quantizer, words, params),
                            dtype=np.float64)
     table.flags.writeable = False
-    _LUT_CACHE[key] = table
-    while len(_LUT_CACHE) > _LUT_CACHE_SIZE:
-        _LUT_CACHE.popitem(last=False)
+    with _LUT_LOCK:
+        _LUT_CACHE[key] = table
+        _LUT_CACHE.move_to_end(key)
+        while len(_LUT_CACHE) > _LUT_CACHE_SIZE:
+            _LUT_CACHE.popitem(last=False)
     return table
 
 
@@ -165,16 +171,18 @@ def decode_words(quantizer: Quantizer, words: np.ndarray,
 
 def decode_lut_cache_stats() -> Dict[str, int]:
     """Hit/miss/size counters of the decode-table cache (for tests)."""
-    return {"hits": _LUT_HITS, "misses": _LUT_MISSES,
-            "size": len(_LUT_CACHE)}
+    with _LUT_LOCK:
+        return {"hits": _LUT_HITS, "misses": _LUT_MISSES,
+                "size": len(_LUT_CACHE)}
 
 
 def clear_decode_lut_cache() -> None:
     """Drop every cached decode table and reset the counters."""
     global _LUT_HITS, _LUT_MISSES
-    _LUT_CACHE.clear()
-    _LUT_HITS = 0
-    _LUT_MISSES = 0
+    with _LUT_LOCK:
+        _LUT_CACHE.clear()
+        _LUT_HITS = 0
+        _LUT_MISSES = 0
 
 
 # ------------------------------------------------------------ observability

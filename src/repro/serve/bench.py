@@ -15,6 +15,7 @@ every model family.
 
 from __future__ import annotations
 
+import statistics
 import time
 from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Sequence
@@ -251,7 +252,7 @@ def measure_scrub_overhead(model: str = "transformer",
                            concurrency: int = 8, num_requests: int = 48,
                            max_batch: int = 16, max_wait_ms: float = 5.0,
                            seed: int = 0, max_len: Optional[int] = 32,
-                           repeats: int = 3,
+                           rounds: int = 7,
                            scrub_interval_s: float = 0.05) -> Dict:
     """p50 latency cost of scrubbing: baseline vs scrub-enabled server.
 
@@ -259,41 +260,42 @@ def measure_scrub_overhead(model: str = "transformer",
     CRC verify + an aggressive periodic daemon; the Sanitizer probe is
     off — it instruments every op, and :func:`measure_probe_overhead`
     prices it): this is the "scrubbing enabled" configuration the <5%
-    p50 acceptance gate covers.  Best-of-``repeats`` p50 on both sides
-    on the same warm pool/request mix.
+    p50 acceptance gate covers.  After one untimed warm-up round, a
+    baseline and a scrubbed server alternate for ``rounds`` rounds on
+    the same warm pool and request mix, so host load lands on both
+    alike, and ``p50_overhead`` compares the median round p50s.
     """
     pool = ModelPool()
     pool.get(model)                   # warm before either timed path
     requests = build_requests(model, num_requests, seed=seed,
                               max_len=max_len)
-
-    def best_p50(resilience: Optional[ResilienceConfig]) -> Dict:
-        best: Optional[Dict] = None
-        for _ in range(repeats):
-            server = InferenceServer(pool, max_batch=max_batch,
-                                     max_wait_ms=max_wait_ms,
-                                     resilience=resilience)
-            with server:
-                _submit_all(server, requests, concurrency)
-                server.drain()
-            snapshot = server.stats.snapshot()
-            if best is None or (snapshot["latency"]["p50_ms"]
-                                < best["latency"]["p50_ms"]):
-                best = snapshot
-        return best
-
-    baseline = best_p50(None)
     scrub_config = ResilienceConfig(scrub_interval_s=scrub_interval_s,
                                     verify_batches=True, probe=False)
-    scrubbed = best_p50(scrub_config)
-    base_p50 = baseline["latency"]["p50_ms"]
-    scrub_p50 = scrubbed["latency"]["p50_ms"]
+
+    def one_round(resilience: Optional[ResilienceConfig]) -> Dict:
+        server = InferenceServer(pool, max_batch=max_batch,
+                                 max_wait_ms=max_wait_ms,
+                                 resilience=resilience)
+        with server:
+            _submit_all(server, requests, concurrency)
+            server.drain()
+        return server.stats.snapshot()
+
+    one_round(None)                   # warm untimed
+    base_p50s: List[float] = []
+    scrub_p50s: List[float] = []
+    for _ in range(rounds):
+        base_p50s.append(one_round(None)["latency"]["p50_ms"])
+        scrubbed = one_round(scrub_config)
+        scrub_p50s.append(scrubbed["latency"]["p50_ms"])
+    base_p50 = statistics.median(base_p50s)
+    scrub_p50 = statistics.median(scrub_p50s)
     return {
         "config": {
             "model": model, "concurrency": concurrency,
             "num_requests": num_requests, "max_batch": max_batch,
             "max_wait_ms": max_wait_ms, "max_len": max_len, "seed": seed,
-            "repeats": repeats, "scrub_interval_s": scrub_interval_s,
+            "rounds": rounds, "scrub_interval_s": scrub_interval_s,
         },
         "baseline_p50_ms": base_p50,
         "scrubbed_p50_ms": scrub_p50,
