@@ -7,17 +7,27 @@ speech model [4].
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from .. import functional as F
+from .. import sanitize as _sanitize
+from .. import tensor as _tensor
 from ..decoding import AttentionKVCache
 from ..module import Module
-from ..tensor import Tensor, is_grad_enabled
+from ..sanitize import check_op
+from ..tensor import Tensor, is_grad_enabled, matmul_data
 from .linear import Linear
 
 __all__ = ["AdditiveAttention", "MultiHeadAttention"]
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """``functional.softmax`` over the last axis, on an array."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class MultiHeadAttention(Module):
@@ -55,6 +65,8 @@ class MultiHeadAttention(Module):
         memory) on first use and reuses the stored projections — the
         ``key``/``value`` arguments are ignored afterwards.
         """
+        if _tensor.array_kernels():
+            return self._forward_arrays(query, key, value, mask, cache)
         if cache is not None and is_grad_enabled():
             raise RuntimeError(
                 "KV-cached attention is inference-only; wrap decoding in "
@@ -81,6 +93,73 @@ class MultiHeadAttention(Module):
         context = attn @ v  # (B, H, Tq, d_head)
         merged = context.transpose(0, 2, 1, 3).reshape(batch, tq, self.d_model)
         return self.w_o(merged)
+
+    def _heads(self, x: np.ndarray, state: Any) -> np.ndarray:
+        """:meth:`_split_heads` on an array: reshape, then transpose."""
+        batch, seq, _ = x.shape
+        split = x.reshape(batch, seq, self.num_heads, self.d_head)
+        if state is not None:
+            check_op(state, "reshape", split, (x,))
+        heads = split.transpose(0, 2, 1, 3)
+        if state is not None:
+            check_op(state, "transpose", heads, (split,))
+        return heads
+
+    def _forward_arrays(self, query: Tensor, key: Tensor, value: Tensor,
+                        mask: Optional[np.ndarray],
+                        cache: Optional[AttentionKVCache]) -> Tensor:
+        """:meth:`forward` on ndarrays (see ``tensor.array_kernels``).
+
+        The projections stay ``Linear`` module calls; everything between
+        them is the Tensor path's op sequence on arrays, each op checked
+        under a sanitizer.
+        """
+        state = _sanitize.current_state() if _sanitize._ACTIVE else None
+        batch, tq, _ = query.shape
+        q = self._heads(self.w_q(query).data, state)
+        if cache is None:
+            k = self._heads(self.w_k(key).data, state)
+            v = self._heads(self.w_v(value).data, state)
+        elif cache.kind == "cross":
+            if cache.k is None:
+                cache.set(self._heads(self.w_k(key).data, state),
+                          self._heads(self.w_v(value).data, state))
+            k, v = cache.k, cache.v
+        else:
+            k_new = self._heads(self.w_k(key).data, state)
+            v_new = self._heads(self.w_v(value).data, state)
+            k, v = cache.append(k_new, v_new)
+        kt = k.transpose(0, 1, 3, 2)
+        if state is not None:
+            check_op(state, "transpose", kt, (k,))
+        logits = matmul_data(q, kt)
+        if state is not None:
+            check_op(state, "matmul", logits, (q, kt))
+        scale = np.asarray(1.0 / np.sqrt(self.d_head), dtype=np.float32)
+        scores = logits * scale
+        if state is not None:
+            check_op(state, "mul", scores, (logits, scale))
+        del logits  # freed where the Tensor path frees it
+        if mask is not None:
+            unmasked = scores
+            scores = np.where(np.asarray(mask, dtype=bool), np.float32(-1e9),
+                              unmasked)
+            if state is not None:
+                check_op(state, "masked_fill", scores, (unmasked,))
+            del unmasked
+        attn = _softmax(scores)
+        if state is not None:
+            check_op(state, "softmax", attn, (scores,))
+        context = matmul_data(attn, v)  # (B, H, Tq, d_head)
+        if state is not None:
+            check_op(state, "matmul", context, (attn, v))
+        swapped = context.transpose(0, 2, 1, 3)
+        if state is not None:
+            check_op(state, "transpose", swapped, (context,))
+        merged = swapped.reshape(batch, tq, self.d_model)
+        if state is not None:
+            check_op(state, "reshape", merged, (swapped,))
+        return self.w_o(Tensor(merged))
 
 
 class AdditiveAttention(Module):

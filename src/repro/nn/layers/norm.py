@@ -4,7 +4,8 @@ The paper's Figure 1 observation hinges on the difference between these
 two: BatchNorm reparameterizes weights (keeping CNN weight ranges
 narrow) while LayerNorm does not (letting Transformer weights grow an
 order of magnitude larger).  Both are implemented as autodiff composites
-so quantization-aware retraining differentiates through them.
+so quantization-aware retraining differentiates through them; with grad
+off, LayerNorm runs the same ops as an array kernel (docs/inference.md).
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .. import init
+from .. import sanitize as _sanitize
+from .. import tensor as _tensor
 from ..module import Module, Parameter
+from ..sanitize import check_op
 from ..tensor import Tensor
 
 __all__ = ["BatchNorm2d", "LayerNorm"]
@@ -28,11 +32,52 @@ class LayerNorm(Module):
         self.bias = Parameter(init.zeros((normalized_shape,)))
 
     def forward(self, x: Tensor) -> Tensor:
+        if _tensor.array_kernels():
+            return self._forward_arrays(x)
         mu = x.mean(axis=-1, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=-1, keepdims=True)
         inv_std = (var + self.eps) ** -0.5
         return centered * inv_std * self.weight + self.bias
+
+    def _forward_arrays(self, x: Tensor) -> Tensor:
+        """:meth:`forward` on ndarrays (see ``tensor.array_kernels``):
+        the same ten ops, each checked under a sanitizer."""
+        state = _sanitize.current_state() if _sanitize._ACTIVE else None
+        xd = x.data
+        mu = xd.mean(axis=-1, keepdims=True)
+        if state is not None:
+            check_op(state, "mean", mu, (xd,))
+        neg_mu = -mu
+        if state is not None:
+            check_op(state, "neg", neg_mu, (mu,))
+        centered = xd + neg_mu
+        if state is not None:
+            check_op(state, "add", centered, (xd, neg_mu))
+        square = centered * centered
+        if state is not None:
+            check_op(state, "mul", square, (centered, centered))
+        var = square.mean(axis=-1, keepdims=True)
+        if state is not None:
+            check_op(state, "mean", var, (square,))
+        eps = np.asarray(self.eps, dtype=np.float32)
+        shifted = var + eps
+        if state is not None:
+            check_op(state, "add", shifted, (var, eps))
+        inv_std = shifted ** -0.5
+        if state is not None:
+            check_op(state, "pow", inv_std, (shifted,))
+        normed = centered * inv_std
+        if state is not None:
+            check_op(state, "mul", normed, (centered, inv_std))
+        weight, bias = self.weight.data, self.bias.data
+        scaled = normed * weight
+        if state is not None:
+            check_op(state, "mul", scaled, (normed, weight))
+        out = scaled + bias
+        if state is not None:
+            check_op(state, "add", out, (scaled, bias))
+        return Tensor(out)
 
 
 class BatchNorm2d(Module):

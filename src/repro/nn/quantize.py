@@ -128,6 +128,13 @@ class WeightFakeQuant:
             self._cache[id(weight)] = entry
         return entry
 
+    def array(self, weight: Tensor) -> np.ndarray:
+        """The memoized quantized array alone: what an array kernel
+        (:func:`repro.nn.tensor.array_kernels`) multiplies by when no
+        sanitizer is live on its thread.  It counts as one memo read,
+        like a call."""
+        return self._entry(weight)[2]
+
     def __call__(self, weight: Tensor) -> Tensor:
         entry = self._entry(weight)
         if _sanitize._ACTIVE and _sanitize.is_active() and entry[3] is None:

@@ -50,7 +50,9 @@ effectively free.
 
 Cost under a sanitizer
 ----------------------
-Each op output gets one ``np.isfinite(...).all()`` screen.  A quantize
+Each op output gets one ``np.isfinite(...).all()`` screen, except the
+view and selection ops an array kernel names (:func:`check_op` counts
+those unscreened: they hold only their input's values).  A quantize
 boundary splits into an O(n) :func:`quantize_stats` pass and an O(1)
 judgment against the active thresholds.  The weight-quant memo
 (:class:`~repro.nn.quantize.WeightFakeQuant`) keeps a weight's stats in
@@ -64,14 +66,15 @@ from __future__ import annotations
 import dataclasses
 import os
 import threading
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "NumericFinding", "NumericFault", "SanitizeReport", "Sanitizer",
     "QuantizeStats", "is_active", "global_report", "current_state",
-    "on_op", "on_grad", "on_quantize", "quantize_stats", "scan_parameters",
+    "check_op", "on_op", "on_grad", "on_quantize", "quantize_stats",
+    "scan_parameters",
 ]
 
 
@@ -325,7 +328,9 @@ def _op_name(backward: Any) -> str:
 # guards on the `_ACTIVE` count, so the common (inactive)
 # cost is one global load + truthiness test per op; the hooks then
 # resolve the *calling thread's* state (possibly None when a sanitizer
-# is live only on some other thread) and bail if there is none.
+# is live only on some other thread) and bail if there is none.  The
+# array kernels of repro.nn.layers resolve that state once per layer
+# call and pass it to `check_op` for each op.
 
 def _forward_finding(state: _State, op: str, stats: Dict[str, Any]) -> None:
     """Report an op output that went non-finite from finite inputs."""
@@ -339,6 +344,34 @@ def _forward_finding(state: _State, op: str, stats: Dict[str, Any]) -> None:
                    "inputs (overflow)", stats)
 
 
+#: Ops whose output holds only elements of their one input: they cannot
+#: produce a value the input lacks, so their verdict is never a finding
+#: and :func:`check_op` counts them without screening.
+_VIEW_OPS = frozenset({"reshape", "transpose", "swapaxes", "getitem"})
+
+
+def check_op(state: _State, op: Any, data: np.ndarray,
+             inputs: Iterable[Any]) -> None:
+    """The forward verdict on one op output: count it, and report NaN/Inf
+    that its inputs lacked.
+
+    :func:`on_op` calls it for every Tensor op; the array kernels of
+    :mod:`repro.nn.layers` call it for every op their Tensor composition
+    would have built.  ``op`` is the op name, or the backward closure it
+    is derived from; ``inputs`` are the op's input arrays, or Tensors
+    read through ``.data``, and are read only when ``data`` is not
+    finite.
+    """
+    state.report.ops_checked += 1
+    if op in _VIEW_OPS or _extremes_finite(data):
+        return
+    if any(not _extremes_finite(a if isinstance(a, np.ndarray) else a.data)
+           for a in inputs):
+        return  # propagation: the originating op already reported
+    _forward_finding(state, op if isinstance(op, str) else _op_name(op),
+                     _stats(data))
+
+
 def on_op(out: Any, data: np.ndarray, parents: Tuple[Any, ...],
           backward: Any) -> None:
     """Forward check: did this op manufacture NaN/Inf its inputs lacked?"""
@@ -346,12 +379,7 @@ def on_op(out: Any, data: np.ndarray, parents: Tuple[Any, ...],
     if state is None:
         return
     out._san_layer = state.current_layer()
-    state.report.ops_checked += 1
-    if _extremes_finite(data):
-        return
-    if any(not _extremes_finite(p.data) for p in parents):
-        return  # propagation: the originating op already reported
-    _forward_finding(state, _op_name(backward), _stats(data))
+    check_op(state, backward, data, parents)
 
 
 def on_grad(node: Any) -> None:

@@ -20,8 +20,9 @@ from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "deterministic_matmul", "is_deterministic_matmul",
-           "is_grad_enabled", "no_grad"]
+__all__ = ["Tensor", "array_kernels", "deterministic_matmul",
+           "is_deterministic_matmul", "is_grad_enabled", "matmul_data",
+           "no_grad"]
 
 from ..hardware.profiler import record_matmul as _record_matmul
 from . import sanitize as _sanitize
@@ -90,12 +91,41 @@ def is_deterministic_matmul() -> bool:
     return _STATE.det_matmul
 
 
+def array_kernels() -> bool:
+    """Whether layer forwards run as array kernels on this thread.
+
+    True exactly when autodiff is off.  ``Linear``, ``Embedding``,
+    ``LayerNorm`` and ``MultiHeadAttention`` then compute on ndarrays,
+    with the same NumPy operations in the same order as their Tensor
+    composition, and wrap only their output in a :class:`Tensor`
+    (docs/inference.md, "Array kernels").  Grad mode is the only
+    selector; tests patch this function to run the autodiff reference.
+    """
+    return not _STATE.grad_enabled
+
+
 def _det_matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Shape-stable matmul: per-row accumulation order fixed by the
     contracted axis alone (no M/N-dependent blocking)."""
     if a.ndim == 1 and b.ndim == 1:
         return np.einsum("i,i->", a, b)
     return np.einsum("...ij,...jk->...ik", a, b)
+
+
+def matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The forward matmul of ``Tensor.__matmul__`` and the array kernels.
+
+    Checks the operands, counts the MACs for an open ``count_macs``
+    scope, then runs BLAS or, inside :class:`deterministic_matmul`, the
+    shape-stable kernel.
+    """
+    if (a.ndim == 1) != (b.ndim == 1):
+        raise NotImplementedError(
+            "matmul operands must both be >=2-D (or both 1-D dot)")
+    _record_matmul(a.shape, b.shape)
+    if _STATE.det_matmul:
+        return _det_matmul_data(a, b)
+    return a @ b
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -294,14 +324,7 @@ class Tensor:
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = self._wrap(other)
-        if (self.data.ndim == 1) != (other.data.ndim == 1):
-            raise NotImplementedError(
-                "matmul operands must both be >=2-D (or both 1-D dot)")
-        _record_matmul(self.data.shape, other.data.shape)
-        if _STATE.det_matmul:
-            out_data = _det_matmul_data(self.data, other.data)
-        else:
-            out_data = self.data @ other.data
+        out_data = matmul_data(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:
             a, b = self.data, other.data

@@ -47,7 +47,7 @@ import numpy as np
 
 from .. import obs
 from ..formats import AdaptiveQuantizer
-from ..formats.bitpack import crc32_stream, pack_words, unpack_words
+from ..formats.bitpack import pack_words, unpack_words
 from ..formats.codec import decode_tensor, encode_tensor
 from ..obs import clock
 
@@ -83,8 +83,13 @@ def _float_words(data: np.ndarray) -> np.ndarray:
 
 
 def float_stream_crc(data: np.ndarray) -> int:
-    """CRC32 of a tensor's canonical (big-endian float32) byte stream."""
-    return crc32_stream(_float_words(data), 32)
+    """CRC32 of a tensor's canonical (big-endian float32) byte stream.
+
+    The same value as ``crc32_stream(_float_words(data), 32)``, from one
+    big-endian copy (a byte swap, so NaN payloads are kept) instead of
+    packing widened words.
+    """
+    return zlib.crc32(np.ascontiguousarray(data, dtype=">f4"))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -45,13 +45,18 @@ class Request:
 
     kind: str
     payload: Any                     # token list / frame array / image array
-    max_len: Optional[int] = None
+    max_len: Optional[int] = None    # None: the model's default cap
     beam_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown request kind {self.kind!r}; "
                              f"known: {tuple(KINDS)}")
+        if self.max_len is not None and self.max_len < 1:
+            # the decoders read ``max_len or cfg.max_len``: 0 would fall
+            # through to the model's full cap, a negative cap to nothing
+            raise ValueError(f"max_len must be >= 1 (None for the model "
+                             f"default), got {self.max_len}")
         if self.kind == "translate":
             self.payload = [int(t) for t in self.payload]
             if not self.payload:
