@@ -1,10 +1,12 @@
 """Decode-throughput benchmarks: KV-cached vs naive autoregressive paths.
 
-The cached/naive pairing is what ``tools/bench_report.py --suite decode``
-distills into ``BENCH_decode.json`` (per-pair speedups).  The speed-gate
-test at the bottom also runs in CI under ``--benchmark-disable`` as a
-regression tripwire: greedy decode must stay at least 2x faster than the
-naive path.
+:func:`decode_cases` is the one definition of the timed calls: the
+pytest-benchmark tests below time them path by path, and
+``tools/bench_report.py --suite decode`` times them in alternating
+cached/naive rounds into ``BENCH_decode.json`` (per-pair speedups).  The
+speed-gate test at the bottom also runs in CI under
+``--benchmark-disable`` as a regression tripwire: greedy decode must
+stay at least 2x faster than the naive path.
 """
 
 import time
@@ -19,8 +21,7 @@ MAX_LEN = 64
 BEAM_SIZE = 4
 
 
-@pytest.fixture(scope="module")
-def transformer_setup():
+def transformer_model():
     # seed 0 decodes to full max_len (no early EOS) — the regime the
     # paper's Table 1-3 evaluation loops actually spend their time in
     rng = np.random.default_rng(0)
@@ -30,8 +31,7 @@ def transformer_setup():
     return model, src
 
 
-@pytest.fixture(scope="module")
-def seq2seq_setup():
+def seq2seq_model():
     rng = np.random.default_rng(0)
     cfg = Seq2SeqConfig(max_len=32)
     model = Seq2Seq(cfg, rng=rng)
@@ -40,27 +40,41 @@ def seq2seq_setup():
     return model, frames
 
 
-@pytest.mark.parametrize("path", ["cached", "naive"])
-def test_transformer_greedy(benchmark, transformer_setup, path):
+def decode_cases(transformer_setup, seq2seq_setup):
+    """Benchmark name -> ``(call(use_cache), output batch size)``."""
     model, src = transformer_setup
-    out = benchmark(model.greedy_decode, src, use_cache=(path == "cached"))
-    assert out.shape[0] == src.shape[0]
+    s2s, frames = seq2seq_setup
+    return {
+        "test_transformer_greedy": (
+            lambda use_cache: model.greedy_decode(src, use_cache=use_cache),
+            src.shape[0]),
+        "test_transformer_beam": (
+            lambda use_cache: model.beam_decode(
+                src[:1], beam_size=BEAM_SIZE, use_cache=use_cache), 1),
+        "test_seq2seq_beam": (
+            lambda use_cache: s2s.beam_decode(
+                frames[:2], beam_size=BEAM_SIZE, use_cache=use_cache), 2),
+    }
+
+
+@pytest.fixture(scope="module")
+def transformer_setup():
+    return transformer_model()
+
+
+@pytest.fixture(scope="module")
+def cases(transformer_setup):
+    return decode_cases(transformer_setup, seq2seq_model())
 
 
 @pytest.mark.parametrize("path", ["cached", "naive"])
-def test_transformer_beam(benchmark, transformer_setup, path):
-    model, src = transformer_setup
-    out = benchmark(model.beam_decode, src[:1], beam_size=BEAM_SIZE,
-                    use_cache=(path == "cached"))
-    assert out.shape[0] == 1
-
-
-@pytest.mark.parametrize("path", ["cached", "naive"])
-def test_seq2seq_beam(benchmark, seq2seq_setup, path):
-    model, frames = seq2seq_setup
-    out = benchmark(model.beam_decode, frames[:2], beam_size=BEAM_SIZE,
-                    use_cache=(path == "cached"))
-    assert out.shape[0] == 2
+@pytest.mark.parametrize("name", ["test_transformer_greedy",
+                                  "test_transformer_beam",
+                                  "test_seq2seq_beam"])
+def test_decode(benchmark, cases, name, path):
+    call, rows = cases[name]
+    out = benchmark(call, path == "cached")
+    assert out.shape[0] == rows
 
 
 def _best_of(fn, repeats=3):

@@ -1,14 +1,18 @@
 """MAC counting and model-on-accelerator cost estimation.
 
 ``count_macs()`` is a context manager: any matmul or convolution
-executed inside it (by the autodiff tensor ops) on the same thread is
-tallied, so the MAC count of one model inference is measured, not
-hand-derived — even while other threads (say, serving workers) run
-their own forwards.
+executed inside it (by the autodiff tensor ops and the array kernels)
+on the same thread is tallied, so the MAC count of one model inference
+is measured, not hand-derived — even while other threads (say, serving
+workers) run their own forwards.
 ``estimate_inference_cost`` then maps that count onto a PE
 configuration: cycles at the array's MAC throughput, energy at the
 calibrated per-op cost — answering the co-design question "what does
 running this network cost on the INT vs the HFINT accelerator?".
+
+Open counters live on the calling thread's :data:`repro.hooks.STATE`,
+and a scope counts in :data:`repro.hooks.LIVE`: the op sites call the
+record functions only while that count is nonzero.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
-import threading
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
+from .. import hooks
 from .constants import CLOCK_HZ
 from .pe import make_pe
 
@@ -42,40 +46,18 @@ class MacCounter:
                 "total": self.total}
 
 
-class _ThreadCounters(threading.local):
-    def __init__(self) -> None:
-        self.stack: List[MacCounter] = []   # open counters, outermost first
-
-
-#: Counting is *thread-local*: a scope counts only its own thread's ops.
-#: ``_ACTIVE`` counts open scopes across all threads, so the per-op
-#: guard stays a single global load + truthiness test when no scope is
-#: open anywhere.
-_TLS = _ThreadCounters()
-_ACTIVE = 0
-_ACTIVE_LOCK = threading.Lock()
-
-
 @contextlib.contextmanager
 def count_macs() -> Iterator[MacCounter]:
     """Record every matmul/conv MAC the calling thread executes in the
     block."""
-    global _ACTIVE
     counter = MacCounter()
-    _TLS.stack.append(counter)
-    with _ACTIVE_LOCK:
-        _ACTIVE += 1
-    try:
+    with hooks.scope("counters", hooks.STATE.counters + (counter,)):
         yield counter
-    finally:
-        with _ACTIVE_LOCK:
-            _ACTIVE -= 1
-        _TLS.stack.pop()
 
 
 def record_matmul(shape_a: Tuple[int, ...], shape_b: Tuple[int, ...]) -> None:
-    """Called by ``Tensor.__matmul__``; no-op when no counter is active."""
-    counters = _TLS.stack if _ACTIVE else None
+    """Called by ``matmul_data``; no-op when no counter is open."""
+    counters = hooks.STATE.counters
     if not counters:
         return
     if len(shape_a) == 1:  # 1-D dot
@@ -95,8 +77,8 @@ def record_matmul(shape_a: Tuple[int, ...], shape_b: Tuple[int, ...]) -> None:
 
 def record_conv2d(batch: int, out_ch: int, in_ch: int, kh: int, kw: int,
                   oh: int, ow: int) -> None:
-    """Called by ``functional.conv2d``."""
-    counters = _TLS.stack if _ACTIVE else None
+    """Called by ``functional.conv2d``; no-op when no counter is open."""
+    counters = hooks.STATE.counters
     if not counters:
         return
     macs = batch * out_ch * in_ch * kh * kw * oh * ow

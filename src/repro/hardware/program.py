@@ -17,7 +17,6 @@ inference; tests check it against the software fake-quantized model.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 

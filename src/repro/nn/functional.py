@@ -7,37 +7,21 @@ quantization with a straight-through estimator); layers in
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .. import hooks as _hooks
+from ..hardware.profiler import record_conv2d as _record_conv2d
 from ..rng import default_rng
 from . import sanitize as _sanitize
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor, _node, _op
 
 __all__ = [
     "avg_pool2d", "cat", "conv2d", "cross_entropy", "dropout", "embedding",
     "fake_quantize", "gelu", "global_avg_pool2d", "log_softmax",
     "masked_fill", "max_pool2d", "relu", "sigmoid", "softmax", "tanh",
 ]
-
-
-def _node(data: np.ndarray, parents: Tuple[Tensor, ...],
-          backward: Callable[[np.ndarray], None]) -> Tensor:
-    """Build an op-output tensor, skipping the graph when not needed."""
-    if not is_grad_enabled() or not any(
-            p.requires_grad or p._parents for p in parents):
-        return Tensor(data)
-    return Tensor(data, parents=parents, backward=backward)
-
-
-def _op(data: np.ndarray, parents: Tuple[Tensor, ...],
-        backward: Callable[[np.ndarray], None]) -> Tensor:
-    """:func:`_node` plus the sanitizer's op-output check."""
-    out = _node(data, parents, backward)
-    if _sanitize._ACTIVE:
-        _sanitize.on_op(out, out.data, parents, backward)
-    return out
 
 
 # --------------------------------------------------------------- activations
@@ -200,8 +184,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     oh = (ph - kh) // stride + 1
     ow = (pw - kw) // stride + 1
 
-    from ..hardware.profiler import record_conv2d
-    record_conv2d(batch, out_ch, in_ch, kh, kw, oh, ow)
+    if _hooks.LIVE and _hooks.STATE.counters:
+        _record_conv2d(batch, out_ch, in_ch, kh, kw, oh, ow)
 
     sb, sc, sh, sw = xp.strides
     windows = np.lib.stride_tricks.as_strided(
@@ -308,6 +292,6 @@ def fake_quantize(x: Tensor, quantize_fn: Callable[[np.ndarray], np.ndarray],
         x._accumulate(grad if ste_mask is None else grad * ste_mask)
 
     node = _node(out, (x,), backward)
-    if _sanitize._ACTIVE:
+    if _hooks.LIVE:
         _sanitize.on_quantize(x, node, stats)
     return node

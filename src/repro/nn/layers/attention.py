@@ -11,6 +11,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from ... import hooks as _hooks
 from .. import functional as F
 from .. import sanitize as _sanitize
 from .. import tensor as _tensor
@@ -114,7 +115,7 @@ class MultiHeadAttention(Module):
         them is the Tensor path's op sequence on arrays, each op checked
         under a sanitizer.
         """
-        state = _sanitize.current_state() if _sanitize._ACTIVE else None
+        state = _sanitize.current_state() if _hooks.LIVE else None
         batch, tq, _ = query.shape
         q = self._heads(self.w_q(query).data, state)
         if cache is None:

@@ -6,6 +6,7 @@ from typing import Optional
 
 import numpy as np
 
+from ... import hooks as _hooks
 from .. import functional as F
 from .. import init
 from .. import sanitize as _sanitize
@@ -37,7 +38,7 @@ class Embedding(Module):
 
     def _forward_arrays(self, ids: np.ndarray) -> Tensor:
         """:meth:`forward` on ndarrays (see ``tensor.array_kernels``)."""
-        state = _sanitize.current_state() if _sanitize._ACTIVE else None
+        state = _sanitize.current_state() if _hooks.LIVE else None
         w = _weight_array(self, self.weight, state)
         out = w[np.asarray(ids)]
         if state is not None:

@@ -6,6 +6,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from ... import hooks as _hooks
 from .. import init
 from .. import sanitize as _sanitize
 from .. import tensor as _tensor
@@ -62,7 +63,7 @@ class Linear(Module):
 
     def _forward_arrays(self, x: Tensor) -> Tensor:
         """:meth:`forward` on ndarrays (see ``tensor.array_kernels``)."""
-        state = _sanitize.current_state() if _sanitize._ACTIVE else None
+        state = _sanitize.current_state() if _hooks.LIVE else None
         w = _weight_array(self, self.weight, state)
         wt = w.swapaxes(0, 1)
         if state is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ... import hooks as _hooks
 from .. import init
 from .. import sanitize as _sanitize
 from .. import tensor as _tensor
@@ -43,7 +44,7 @@ class LayerNorm(Module):
     def _forward_arrays(self, x: Tensor) -> Tensor:
         """:meth:`forward` on ndarrays (see ``tensor.array_kernels``):
         the same ten ops, each checked under a sanitizer."""
-        state = _sanitize.current_state() if _sanitize._ACTIVE else None
+        state = _sanitize.current_state() if _hooks.LIVE else None
         xd = x.data
         mu = xd.mean(axis=-1, keepdims=True)
         if state is not None:

@@ -19,8 +19,8 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from .. import hooks as _hooks
 from . import sanitize as _sanitize
-from . import trace as _trace
 from .tensor import Tensor
 
 __all__ = ["Parameter", "Module", "ModuleList", "Sequential"]
@@ -204,9 +204,9 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        if not _sanitize._HOOKS:
+        if not _hooks.LIVE:
             return self.forward(*args, **kwargs)
-        scope = _trace._TLS.scope
+        scope = _hooks.STATE.trace
         if scope is not None:
             return scope.call(self, args, kwargs)
         return self._run_hooked(args, kwargs)

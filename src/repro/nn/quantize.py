@@ -28,6 +28,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
 
 import numpy as np
 
+from .. import hooks as _hooks
 from .. import obs
 from ..formats import AdaptiveQuantizer, Quantizer, make_quantizer
 from ..rng import fresh_rng
@@ -137,7 +138,7 @@ class WeightFakeQuant:
 
     def __call__(self, weight: Tensor) -> Tensor:
         entry = self._entry(weight)
-        if _sanitize._ACTIVE and _sanitize.is_active() and entry[3] is None:
+        if _hooks.LIVE and entry[3] is None and _sanitize.is_active():
             # Concurrent fills of one shared entry measure the same arrays
             # and store equal stats, so the race is benign.
             entry[3] = _sanitize.quantize_stats(entry[1], entry[2])

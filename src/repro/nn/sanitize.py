@@ -43,10 +43,12 @@ object by default)::
 or process-wide via the environment: ``REPRO_SANITIZE=1`` activates the
 sanitizer at import time with ``action="raise"`` (the first fault raises
 :class:`NumericFault`); set ``REPRO_SANITIZE_ACTION=collect`` to log into
-:func:`global_report` instead.  When no sanitizer is active on any thread
-each op hook site costs one test of the live-sanitizer count ``_ACTIVE``,
-and ``Module.__call__`` one test of the live-hook count ``_HOOKS`` —
-effectively free.
+:func:`global_report` instead.  Activation is thread-local: a
+sanitizer's state sits on the calling thread's
+:data:`repro.hooks.STATE`, and every live one (the env knob's too) counts
+in :data:`repro.hooks.LIVE`.  While no observer scope is open on any
+thread, each op hook site and ``Module.__call__`` costs one test of that
+count — effectively free.
 
 Cost under a sanitizer
 ----------------------
@@ -65,10 +67,11 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import threading
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
+
+from .. import hooks
 
 __all__ = [
     "NumericFinding", "NumericFault", "SanitizeReport", "Sanitizer",
@@ -158,7 +161,7 @@ class _State:
              stats: Dict[str, Any]) -> None:
         finding = NumericFinding(kind=kind, op=op, layer=layer,
                                  message=message, stats=stats)
-        log = getattr(_TLS, "findings_log", None)
+        log = hooks.STATE.findings_log
         if log is not None:
             log.append((self.report.ops_checked, finding))
         if self.action == "raise":
@@ -169,60 +172,9 @@ class _State:
             self.report.truncated = True
 
 
-#: Sanitizer activation is *thread-local*: a :class:`Sanitizer` context
-#: entered on one thread (say, a serving worker probing a batch) must not
-#: leak into concurrent workers' forwards.  ``_TLS.state`` holds each
-#: thread's active state; ``_GLOBAL_STATE`` is the process-wide fallback
-#: installed by the ``REPRO_SANITIZE`` env knob.  ``_ACTIVE`` counts live
-#: states across all threads so the per-op guard in the hot path stays a
-#: single global load + truthiness test when nothing is active.
-#: ``_HOOKS`` counts every live hook on ``Module.__call__`` — sanitizer
-#: states plus :mod:`repro.nn.trace` scopes — so the per-call guard is
-#: the same single test.
-_TLS = threading.local()
-_GLOBAL_STATE: Optional[_State] = None
-_ACTIVE = 0
-_HOOKS = 0
-_ACTIVE_LOCK = threading.Lock()
-
-
 def current_state() -> Optional[_State]:
     """This thread's active sanitizer state (env fallback), or None."""
-    return getattr(_TLS, "state", None) or _GLOBAL_STATE
-
-
-def _retain_state() -> None:
-    global _ACTIVE, _HOOKS
-    with _ACTIVE_LOCK:
-        _ACTIVE += 1
-        _HOOKS += 1
-
-
-def _release_state() -> None:
-    global _ACTIVE, _HOOKS
-    with _ACTIVE_LOCK:
-        _ACTIVE -= 1
-        _HOOKS -= 1
-
-
-def _retain_hook() -> None:
-    """Count one more live ``Module.__call__`` hook (a trace scope)."""
-    global _HOOKS
-    with _ACTIVE_LOCK:
-        _HOOKS += 1
-
-
-def _release_hook() -> None:
-    global _HOOKS
-    with _ACTIVE_LOCK:
-        _HOOKS -= 1
-
-
-def _log_findings(log: Optional[List]) -> None:
-    """Append ``(ops_checked, finding)`` to ``log`` for every finding
-    this thread emits, until called with None (the call trace records
-    what a module call emitted this way)."""
-    _TLS.findings_log = log
+    return hooks.STATE.sanitizer
 
 
 def is_active() -> bool:
@@ -284,14 +236,14 @@ class Sanitizer:
         self._state.register_model(model)
 
     def __enter__(self) -> SanitizeReport:
-        self._previous = getattr(_TLS, "state", None)
-        _TLS.state = self._state
-        _retain_state()
+        self._previous = hooks.STATE.sanitizer
+        hooks.STATE.sanitizer = self._state
+        hooks.push()
         return self._state.report
 
     def __exit__(self, *exc: Any) -> None:
-        _TLS.state = self._previous
-        _release_state()
+        hooks.STATE.sanitizer = self._previous
+        hooks.pop()
 
 
 # --------------------------------------------------------------- inspection
@@ -325,12 +277,12 @@ def _op_name(backward: Any) -> str:
 
 # --------------------------------------------------------------------- hooks
 # Called from repro.nn.tensor / repro.nn.functional.  Each caller
-# guards on the `_ACTIVE` count, so the common (inactive)
-# cost is one global load + truthiness test per op; the hooks then
-# resolve the *calling thread's* state (possibly None when a sanitizer
-# is live only on some other thread) and bail if there is none.  The
-# array kernels of repro.nn.layers resolve that state once per layer
-# call and pass it to `check_op` for each op.
+# guards on the `hooks.LIVE` count, so the common (inactive) cost is
+# one global load + truthiness test per op; the hooks then resolve the
+# *calling thread's* state (None when the open scopes are MAC counters,
+# call traces, or a sanitizer on some other thread) and bail if there
+# is none.  The array kernels of repro.nn.layers resolve that state
+# once per layer call and pass it to `check_op` for each op.
 
 def _forward_finding(state: _State, op: str, stats: Dict[str, Any]) -> None:
     """Report an op output that went non-finite from finite inputs."""
@@ -375,7 +327,7 @@ def check_op(state: _State, op: Any, data: np.ndarray,
 def on_op(out: Any, data: np.ndarray, parents: Tuple[Any, ...],
           backward: Any) -> None:
     """Forward check: did this op manufacture NaN/Inf its inputs lacked?"""
-    state = current_state()
+    state = hooks.STATE.sanitizer
     if state is None:
         return
     out._san_layer = state.current_layer()
@@ -574,18 +526,18 @@ def _activate_from_env() -> None:
 
     The env-installed state is *global* (visible from every thread) —
     a process-wide tripwire, unlike the thread-scoped context manager.
-    A :class:`Sanitizer` entered on a thread shadows it there.
+    It is the class-level default of the per-thread sanitizer slot, so
+    a :class:`Sanitizer` entered on a thread shadows it there.
     """
-    global _GLOBAL_STATE
     if os.environ.get("REPRO_SANITIZE", "") not in ("1", "true", "yes"):
         return
     action = os.environ.get("REPRO_SANITIZE_ACTION", "raise")
     if action not in ("collect", "raise"):
         action = "raise"
-    _GLOBAL_STATE = _State(action=action, clamp_storm=0.25,
-                           underflow_flood=0.5,
-                           ignore_ops=("masked_fill",), max_findings=100)
-    _retain_state()
+    type(hooks.STATE).sanitizer = _State(
+        action=action, clamp_storm=0.25, underflow_flood=0.5,
+        ignore_ops=("masked_fill",), max_findings=100)
+    hooks.push()
 
 
 _activate_from_env()

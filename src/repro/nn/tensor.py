@@ -15,8 +15,7 @@ reserved for the number-format code, which is exactness-sensitive).
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -24,28 +23,16 @@ __all__ = ["Tensor", "array_kernels", "deterministic_matmul",
            "is_deterministic_matmul", "is_grad_enabled", "matmul_data",
            "no_grad"]
 
+from .. import hooks as _hooks
 from ..hardware.profiler import record_matmul as _record_matmul
 from . import sanitize as _sanitize
 
-
-class _ThreadState(threading.local):
-    """Per-thread autodiff mode flags.
-
-    The flags are thread-local so concurrent inference workers (the
-    ``repro.serve`` engine runs decodes on worker threads) cannot race
-    on each other's ``no_grad`` / ``deterministic_matmul`` scopes: with
-    a process-global flag, worker A exiting ``no_grad`` would re-enable
-    graph construction while worker B is mid-decode, making B's cached
-    attention raise.  Every thread starts grad-enabled with the BLAS
-    matmul kernel, matching the previous single-threaded defaults.
-    """
-
-    def __init__(self) -> None:
-        self.grad_enabled = True
-        self.det_matmul = False
-
-
-_STATE = _ThreadState()
+#: Grad mode and the matmul kernel are per-thread flags on the shared hook
+#: state (:mod:`repro.hooks`), so concurrent inference workers (the
+#: ``repro.serve`` engine runs decodes on worker threads) cannot race on
+#: each other's ``no_grad`` / ``deterministic_matmul`` scopes.  Every
+#: thread starts grad-enabled with the BLAS matmul kernel.
+_STATE = _hooks.STATE
 
 
 class no_grad:
@@ -122,7 +109,8 @@ def matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if (a.ndim == 1) != (b.ndim == 1):
         raise NotImplementedError(
             "matmul operands must both be >=2-D (or both 1-D dot)")
-    _record_matmul(a.shape, b.shape)
+    if _hooks.LIVE and _STATE.counters:
+        _record_matmul(a.shape, b.shape)
     if _STATE.det_matmul:
         return _det_matmul_data(a, b)
     return a @ b
@@ -164,8 +152,9 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float32)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._parents = parents if is_grad_enabled() else ()
-        self._backward = backward if is_grad_enabled() else None
+        grad_enabled = _STATE.grad_enabled
+        self._parents = parents if grad_enabled else ()
+        self._backward = backward if grad_enabled else None
 
     # ------------------------------------------------------------ plumbing
     @property
@@ -205,22 +194,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}{grad})"
 
     # ------------------------------------------------------------ autograd
-    def _needs_graph(self, *others: "Tensor") -> bool:
-        if not is_grad_enabled():
-            return False
-        return any(t.requires_grad or t._parents for t in (self,) + others)
-
-    def _make(self, data: np.ndarray, parents: Tuple["Tensor", ...],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
-        if not is_grad_enabled() or not any(
-                p.requires_grad or p._parents for p in parents):
-            out = Tensor(data)
-        else:
-            out = Tensor(data, parents=parents, backward=backward)
-        if _sanitize._ACTIVE:
-            _sanitize.on_op(out, out.data, parents, backward)
-        return out
-
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.array(grad, dtype=np.float32)
@@ -249,10 +222,10 @@ class Tensor:
         self._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                if _sanitize._ACTIVE:
+                if _hooks.LIVE:
                     _sanitize.on_grad(node)
                 node._backward(node.grad)
-        if _sanitize._ACTIVE:
+        if _hooks.LIVE:
             for node in topo:  # leaves: parameters and inputs
                 if node._backward is None and node.grad is not None:
                     _sanitize.on_grad(node)
@@ -270,7 +243,7 @@ class Tensor:
             self._accumulate(_unbroadcast(grad, self.shape))
             other._accumulate(_unbroadcast(grad, other.shape))
 
-        return self._make(out_data, (self, other), backward)
+        return _op(out_data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -278,7 +251,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(-grad)
 
-        return self._make(-self.data, (self,), backward)
+        return _op(-self.data, (self,), backward)
 
     def __sub__(self, other: TensorLike) -> "Tensor":
         return self + (-self._wrap(other))
@@ -294,7 +267,7 @@ class Tensor:
             self._accumulate(_unbroadcast(grad * other.data, self.shape))
             other._accumulate(_unbroadcast(grad * self.data, other.shape))
 
-        return self._make(out_data, (self, other), backward)
+        return _op(out_data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -307,7 +280,7 @@ class Tensor:
             other._accumulate(_unbroadcast(
                 -grad * self.data / (other.data * other.data), other.shape))
 
-        return self._make(out_data, (self, other), backward)
+        return _op(out_data, (self, other), backward)
 
     def __rtruediv__(self, other: TensorLike) -> "Tensor":
         return self._wrap(other) / self
@@ -320,7 +293,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = self._wrap(other)
@@ -337,7 +310,7 @@ class Tensor:
             self._accumulate(_unbroadcast(ga, a.shape))
             other._accumulate(_unbroadcast(gb, b.shape))
 
-        return self._make(out_data, (self, other), backward)
+        return _op(out_data, (self, other), backward)
 
     # ----------------------------------------------------------- unary ops
     def exp(self) -> "Tensor":
@@ -346,13 +319,13 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data)
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad / self.data)
 
-        return self._make(np.log(self.data), (self,), backward)
+        return _op(np.log(self.data), (self,), backward)
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
@@ -360,7 +333,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * 0.5 / out_data)
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -368,7 +341,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * (1.0 - out_data * out_data))
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
@@ -376,7 +349,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data * (1.0 - out_data))
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
@@ -384,7 +357,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * mask)
 
-        return self._make(self.data * mask, (self,), backward)
+        return _op(self.data * mask, (self,), backward)
 
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)
@@ -392,7 +365,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * sign)
 
-        return self._make(np.abs(self.data), (self,), backward)
+        return _op(np.abs(self.data), (self,), backward)
 
     # ------------------------------------------------------------ reshapes
     def reshape(self, *shape: int) -> "Tensor":
@@ -404,7 +377,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.reshape(in_shape))
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     def transpose(self, *axes: int) -> "Tensor":
         if not axes:
@@ -416,13 +389,13 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.transpose(inverse))
 
-        return self._make(self.data.transpose(axes), (self,), backward)
+        return _op(self.data.transpose(axes), (self,), backward)
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.swapaxes(a, b))
 
-        return self._make(self.data.swapaxes(a, b), (self,), backward)
+        return _op(self.data.swapaxes(a, b), (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
@@ -433,7 +406,7 @@ class Tensor:
             np.add.at(full, index, grad)
             self._accumulate(full)
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     # ----------------------------------------------------------- reductions
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -446,7 +419,7 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, in_shape))
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.mean(axis=axis, keepdims=keepdims)
@@ -460,7 +433,7 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, in_shape) / count)
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
@@ -475,7 +448,7 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             self._accumulate(mask * (g / counts))
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     # ------------------------------------------------------------- helpers
     def clip_values(self, lo: float, hi: float) -> "Tensor":
@@ -485,8 +458,24 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * mask)
 
-        return self._make(np.clip(self.data, lo, hi), (self,), backward)
+        return _op(np.clip(self.data, lo, hi), (self,), backward)
 
 
-def _as_tensor_tuple(tensors: Iterable[TensorLike]) -> Tuple[Tensor, ...]:
-    return tuple(t if isinstance(t, Tensor) else Tensor(t) for t in tensors)
+def _node(data: np.ndarray, parents: Tuple[Tensor, ...],
+          backward: Callable[[np.ndarray], None]) -> Tensor:
+    """An op-output tensor; it joins the graph only when grad is on and
+    some parent needs a gradient."""
+    if _STATE.grad_enabled and any(
+            p.requires_grad or p._parents for p in parents):
+        return Tensor(data, parents=parents, backward=backward)
+    return Tensor(data)
+
+
+def _op(data: np.ndarray, parents: Tuple[Tensor, ...],
+        backward: Callable[[np.ndarray], None]) -> Tensor:
+    """The op builder of the Tensor methods and :mod:`repro.nn.functional`:
+    :func:`_node` plus the sanitizer's op-output check."""
+    out = _node(data, parents, backward)
+    if _hooks.LIVE and _STATE.sanitizer is not None:
+        _sanitize.on_op(out, out.data, parents, backward)
+    return out

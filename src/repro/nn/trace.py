@@ -14,7 +14,8 @@ program take the recorded outputs instead of recomputing them::
         score = evaluate(model)   # the clean prefix comes from the record
 
 No model code learns about traces: :meth:`repro.nn.Module.__call__`
-consults the calling thread's scope, and only while one is open.
+consults the calling thread's scope (``repro.hooks.STATE.trace``), and
+only while some observer scope is open (``repro.hooks.LIVE``).
 
 What is recorded
 ----------------
@@ -65,35 +66,24 @@ on three rules:
   raises instead of being served a stale value.
 
 Scopes are thread-local: a scope open on one thread leaves every other
-thread's forwards plain.  Record a trace on one thread at a time.
+thread's forwards plain.  Record a trace on one thread at a time.  While
+recording a call, the sanitizer appends each finding it emits, with its
+``ops_checked`` offset, to ``repro.hooks.STATE.findings_log``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import operator
-import threading
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..hardware import profiler as _profiler
+from .. import hooks as _hooks
 from . import sanitize as _sanitize
-from .tensor import Tensor, is_deterministic_matmul, is_grad_enabled
+from .tensor import Tensor, is_deterministic_matmul
 
 __all__ = ["CallTrace"]
-
-
-class _ThreadScope(threading.local):
-    """Each thread's open scope (a ``_Recorder`` or ``_Replayer``), read
-    by ``Module.__call__``; a plain attribute, so reading it while no
-    scope is open costs no failed lookup."""
-
-    def __init__(self) -> None:
-        self.scope: Any = None
-
-
-_TLS = _ThreadScope()
 
 #: Snapshot tags; a snapshot is ``None`` or a tuple led by one of them.
 _TENSOR, _ARRAY, _SCALAR, _SEQ = range(4)
@@ -227,8 +217,8 @@ def _arguments(args: Tuple, kwargs: Dict) -> Tuple[Tuple[str, ...], Tuple]:
 
 def _plain_thread() -> bool:
     """Grad off and no MAC-count scope open on the calling thread."""
-    return not is_grad_enabled() and not (
-        _profiler._ACTIVE and _profiler._TLS.stack)
+    state = _hooks.STATE
+    return not state.grad_enabled and not state.counters
 
 
 def _sanitizer_key(state: Any) -> Tuple:
@@ -284,26 +274,14 @@ class CallTrace:
         recording."""
         self.entries = []
         self._frozen = {}
-        with _open(_Recorder(self)):
+        with _hooks.scope("trace", _Recorder(self)):
             yield self
 
     @contextlib.contextmanager
     def replay(self) -> Iterator["CallTrace"]:
         """Serve matching calls in the block from the recording."""
-        with _open(_Replayer(self)):
+        with _hooks.scope("trace", _Replayer(self)):
             yield self
-
-
-@contextlib.contextmanager
-def _open(scope: Any) -> Iterator[None]:
-    previous = _TLS.scope
-    _TLS.scope = scope
-    _sanitize._retain_hook()
-    try:
-        yield
-    finally:
-        _sanitize._release_hook()
-        _TLS.scope = previous
 
 
 # -------------------------------------------------------------------- scopes
@@ -327,13 +305,13 @@ class _Recorder:
         state = _sanitize.current_state()
         base = state.report.ops_checked if state is not None else 0
         log: List = []
-        _sanitize._log_findings(log)
+        _hooks.STATE.findings_log = log
         self.depth += 1
         try:
             out = module._run_hooked(args, kwargs)
         finally:
             self.depth -= 1
-            _sanitize._log_findings(None)
+            _hooks.STATE.findings_log = None
         entry.outputs = _freeze(out, frozen)
         if state is not None and _sanitize.current_state() is state:
             entry.probed = _Probed(

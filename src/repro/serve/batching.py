@@ -46,7 +46,7 @@ class Request:
     kind: str
     payload: Any                     # token list / frame array / image array
     max_len: Optional[int] = None    # None: the model's default cap
-    beam_size: Optional[int] = None
+    beam_size: Optional[int] = None  # None: greedy decoding
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -57,6 +57,11 @@ class Request:
             # through to the model's full cap, a negative cap to nothing
             raise ValueError(f"max_len must be >= 1 (None for the model "
                              f"default), got {self.max_len}")
+        if self.beam_size is not None and self.beam_size < 1:
+            # caught here, not by beam_decode inside a worker after the
+            # request has taken an in-flight slot
+            raise ValueError(f"beam_size must be >= 1 (None for greedy "
+                             f"decoding), got {self.beam_size}")
         if self.kind == "translate":
             self.payload = [int(t) for t in self.payload]
             if not self.payload:

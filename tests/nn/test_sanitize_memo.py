@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro import nn
+from repro import hooks, nn
 from repro.nn import functional as F
 from repro.nn import sanitize
 from repro.nn.quantize import WeightFakeQuant
@@ -89,7 +89,7 @@ def fake_quantize(x, quantize_fn, ste_mask=None, stats=None):
     the generic op check re-screens the output.  (Findings name the op
     after this function, so it keeps the name.)"""
     out = np.asarray(quantize_fn(x.data), dtype=np.float32)
-    if sanitize._ACTIVE:
+    if hooks.LIVE:
         _reference_on_quantize(x.data, out)
 
     def backward(grad):

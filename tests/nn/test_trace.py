@@ -17,10 +17,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import hooks, nn
 from repro.experiments.common import get_bundle
 from repro.hardware.profiler import count_macs
-from repro.nn import sanitize
 from repro.nn.decoding import AttentionKVCache
 from repro.nn.quantize import QuantSpec, attach_weight_quantizers
 
@@ -315,7 +314,7 @@ class TestThreads:
         net = _Net()
         x = _input()
         trace, expected = _recorded(net, x)
-        hooks = sanitize._HOOKS
+        live = hooks.LIVE
         outputs, errors = [], []
 
         def worker():
@@ -341,7 +340,7 @@ class TestThreads:
         assert len(outputs) == 200
         for out in outputs:
             np.testing.assert_array_equal(out, expected)
-        assert sanitize._HOOKS == hooks
+        assert hooks.LIVE == live
 
 
 # ------------------------------------------------------- sanitizer identity

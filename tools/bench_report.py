@@ -7,9 +7,10 @@ Two suites:
   ``benchmarks/test_format_kernels.py`` -> ``BENCH_formats.json``.
   ``--with-analytic`` also times the analytic reference path
   (``REPRO_NO_CODEBOOK=1``) and records per-benchmark speedup ratios.
-* ``--suite decode`` — KV-cached vs naive autoregressive decoding from
-  ``benchmarks/test_decode_throughput.py`` -> ``BENCH_decode.json``,
-  with a ``speedup`` per cached/naive pair.
+* ``--suite decode`` — KV-cached vs naive autoregressive decoding, the
+  calls of ``benchmarks/test_decode_throughput.py`` timed in
+  alternating cached/naive rounds in one process -> ``BENCH_decode.json``,
+  with a ``speedup`` (ratio of medians) per cached/naive pair.
 * ``--suite resilience`` — the seeded bit-flip fault-injection campaign
   (``repro.resilience``, fast profile, transformer, all five formats at
   8 bits) -> ``BENCH_resilience.json``.  The record has three blocks:
@@ -62,8 +63,7 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 SUITES = {
     "formats": ("benchmarks/test_format_kernels.py",
                 REPO / "BENCH_formats.json"),
-    "decode": ("benchmarks/test_decode_throughput.py",
-               REPO / "BENCH_decode.json"),
+    "decode": (None, REPO / "BENCH_decode.json"),
     "resilience": (None, REPO / "BENCH_resilience.json"),
     "serve": (None, REPO / "BENCH_serve.json"),
 }
@@ -90,6 +90,11 @@ MIN_TRIAL_LOOP_SPEEDUP = 3.0
 
 #: Alternating naive/engine rounds of the whole timed campaign call.
 CAMPAIGN_WALL_ROUNDS = 3
+
+#: Untimed warm-up rounds, then timed alternating cached/naive rounds,
+#: per decode benchmark.
+DECODE_WARMUP_ROUNDS = 2
+DECODE_ROUNDS = 15
 
 #: The committed serving benchmark: the acceptance workload — transformer
 #: greedy decode, 16 concurrent clients, 64 requests — plus the
@@ -252,6 +257,45 @@ def _run_resilience() -> dict:
     }
 
 
+def _run_decode() -> dict:
+    """Cached vs naive decode, timed in alternating rounds.
+
+    Every round times one cached and one naive call of the same
+    benchmark back to back, so host load lands on both paths alike
+    (pytest-benchmark times all rounds of one path before the other).
+    Each path keeps its median and mean call; the ``speedup`` is the
+    ratio of the medians.
+    """
+    sys.path[:0] = [str(REPO / "src"), str(REPO)]
+    from benchmarks.test_decode_throughput import (decode_cases,
+                                                   seq2seq_model,
+                                                   transformer_model)
+
+    cases = decode_cases(transformer_model(), seq2seq_model())
+    benchmarks = {}
+    for name, (call, _rows) in cases.items():
+        for _ in range(DECODE_WARMUP_ROUNDS):
+            call(True)
+            call(False)
+        times = {True: [], False: []}
+        for _ in range(DECODE_ROUNDS):
+            for use_cache in (True, False):
+                start = time.perf_counter()
+                call(use_cache)
+                times[use_cache].append(time.perf_counter() - start)
+        for use_cache, label in ((True, "cached"), (False, "naive")):
+            benchmarks[f"{name}[{label}]"] = {
+                "median_ms": round(statistics.median(times[use_cache])
+                                   * 1e3, 4),
+                "mean_ms": round(statistics.mean(times[use_cache]) * 1e3,
+                                 4),
+                "rounds": DECODE_ROUNDS,
+            }
+    _pair_cached_naive(benchmarks)
+    return {"machine": machine_info(),
+            "benchmarks": dict(sorted(benchmarks.items()))}
+
+
 def _run_serve() -> dict:
     """Serving throughput + token-identity + resilience record.
 
@@ -392,6 +436,14 @@ def main() -> int:
               f"{record['serial']['requests_per_sec']} serial, identity "
               f"{payload['token_identity']})")
         return 0
+    if args.suite == "decode":
+        payload = _run_decode()
+        output.write_text(json.dumps(payload, indent=2, sort_keys=True)
+                          + "\n")
+        speedups = {name: record["speedup"] for name, record
+                    in payload["benchmarks"].items() if "speedup" in record}
+        print(f"wrote {output} (speedups {speedups})")
+        return 0
     if args.suite == "resilience":
         payload = _run_resilience()
         output.write_text(json.dumps(payload, indent=2, sort_keys=True)
@@ -407,8 +459,6 @@ def main() -> int:
         "machine": machine_info(),
         "benchmarks": fast,
     }
-    if args.suite == "decode":
-        _pair_cached_naive(payload["benchmarks"])
     if args.with_analytic and args.suite == "formats":
         analytic = _distill(_run_benchmarks(bench_file,
                                             {"REPRO_NO_CODEBOOK": "1"}))
