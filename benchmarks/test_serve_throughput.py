@@ -63,6 +63,7 @@ def test_serve_speedup_gate():
         num_requests=NUM_REQUESTS, max_batch=16, max_wait_ms=5.0,
         seed=0, max_len=MAX_LEN, repeats=2)
     assert record["blas_token_match_rate"] == 1.0, record
+    assert record["weight_cache"] == {"hits": 0, "misses": 0}  # no quant
     assert record["speedup"] >= 2.0, (
         f"micro-batching speedup regressed: {record['speedup']:.2f}x")
 

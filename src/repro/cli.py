@@ -149,7 +149,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
           f"p95 {stats['latency']['p95_ms']:.1f}ms  "
           f"p99 {stats['latency']['p99_ms']:.1f}ms  "
           f"(queue peak {stats['queue']['depth_peak']})")
-    if record["weight_cache"]:
+    if any(record["weight_cache"].values()):
         print(f"  wq-cache : {record['weight_cache']}")
     if args.check:
         verdicts = check_equivalence(models=(args.model,), seed=args.seed,

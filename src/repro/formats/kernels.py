@@ -42,9 +42,10 @@ the full format spec plus the adaptive parameters, so a changed
 ``exp_bias`` / ``scale`` / ``shared_exp`` is simply a different cache
 entry — invalidation is automatic.  Stochastic rounding, per-channel or
 per-block (vector) parameters, and word sizes above
-:func:`max_table_bits` (default 8, override with
-``REPRO_CODEBOOK_BITS`` or :func:`set_max_table_bits`) always bypass the
-table path.
+:func:`max_table_bits` (default 8, moved by :func:`set_max_table_bits`)
+always bypass the table path; :func:`set_cache_size` bounds the LRU
+(default 128 entries).  ``REPRO_NO_CODEBOOK=1`` (read at import) or
+:func:`analytic_only` forces the analytic path.
 """
 
 from __future__ import annotations
@@ -89,14 +90,7 @@ _MAX_LUT_SPAN = 4
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
-
-
-_max_table_bits = _env_int("REPRO_CODEBOOK_BITS", 8)
+_max_table_bits = 8
 _enabled = os.environ.get("REPRO_NO_CODEBOOK", "") not in ("1", "true", "yes")
 
 
@@ -344,7 +338,7 @@ class LutCodebook(Codebook):
 # -------------------------------------------------------------------- cache
 _lock = threading.Lock()
 _cache: "OrderedDict[Hashable, Optional[Codebook]]" = OrderedDict()
-_cache_size = _env_int("REPRO_CODEBOOK_CACHE", 128)
+_cache_size = 128
 _stats = {"hits": 0, "misses": 0, "builds": 0, "evictions": 0,
           "fallbacks": 0}
 

@@ -25,9 +25,7 @@ from .trace import CallTrace
 from .quantize import (ActFakeQuant, QuantSpec, WeightFakeQuant,
                        attach_act_quantizers, attach_weight_quantizers,
                        calibrate, detach_quantizers,
-                       quantize_weights_inplace,
-                       reset_weight_quant_cache_stats,
-                       weight_quant_cache_stats)
+                       quantize_weights_inplace)
 
 __all__ = [
     "ActFakeQuant", "Adam", "AdditiveAttention", "AttentionKVCache",
@@ -46,6 +44,5 @@ __all__ = [
     "magnitude_prune", "models", "no_grad", "optim", "pad_hypotheses",
     "prune", "quantize",
     "sanitize", "scan_parameters",
-    "quantize_weights_inplace", "reset_weight_quant_cache_stats",
-    "schedules", "sparsity_report", "trace", "weight_quant_cache_stats",
+    "quantize_weights_inplace", "schedules", "sparsity_report", "trace",
 ]

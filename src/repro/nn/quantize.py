@@ -42,7 +42,6 @@ __all__ = [
     "QuantSpec", "WeightFakeQuant", "ActFakeQuant",
     "attach_weight_quantizers", "attach_act_quantizers",
     "detach_quantizers", "calibrate", "quantize_weights_inplace",
-    "weight_quant_cache_stats", "reset_weight_quant_cache_stats",
     "DEFAULT_QUANTIZED_LAYERS",
 ]
 
@@ -52,10 +51,8 @@ __all__ = [
 DEFAULT_QUANTIZED_LAYERS: Tuple[Type[Module], ...] = (
     Linear, Conv2d, Embedding, LSTMCell)
 
-# Process-wide memo outcome counters, summed over every WeightFakeQuant
-# instance.  The per-instance ``hits``/``misses`` attributes remain the
-# per-model view (:func:`weight_quant_cache_stats`); these feed the same
-# events into ``repro.obs`` so one snapshot covers every attached model.
+# The memo's only count: outcomes summed over every WeightFakeQuant
+# instance in the process.  Tests and benchmarks read its deltas.
 _WQ_CACHE = obs.counter(
     "repro_weight_quant_cache_total", "Weight-quantization memo "
     "outcomes, summed over all WeightFakeQuant instances.", ("outcome",))
@@ -98,14 +95,13 @@ class WeightFakeQuant:
     the memo's contract: an in-place mutation without a version bump is
     served stale stats along with the stale quantized array.
 
-    ``hits`` / ``misses`` count cache outcomes for reporting and tests
-    (see :func:`weight_quant_cache_stats`).
+    Every read counts one hit or miss in
+    ``repro_weight_quant_cache_total`` (the registry's child locks keep
+    the count exact when worker threads share one model).
     """
 
     def __init__(self, quantizer: Quantizer) -> None:
         self.quantizer = quantizer
-        self.hits = 0
-        self.misses = 0
         # id(weight Tensor) -> [version, backing array, quantized array,
         #                       sanitizer stats or None until first needed]
         self._cache: Dict[int, List[Any]] = {}
@@ -117,10 +113,8 @@ class WeightFakeQuant:
         entry = self._cache.get(id(weight)) if version is not None else None
         if entry is not None and entry[0] == version \
                 and entry[1] is weight.data:
-            self.hits += 1
             _WQ_HIT.inc()
             return entry
-        self.misses += 1
         _WQ_MISS.inc()
         quantized = np.asarray(self.quantizer.quantize(weight.data),
                                dtype=np.float32)
@@ -292,31 +286,6 @@ def attach_act_quantizers(
     if not observers:
         raise ValueError("no quantizable layers found in model")
     return observers
-
-
-def weight_quant_cache_stats(model: Module) -> Dict[str, int]:
-    """Aggregate hit/miss counters across all attached weight quantizers.
-
-    Returns ``{"hits": ..., "misses": ...}``; a frozen PTQ evaluation
-    should show exactly one miss per (quantizer, weight tensor) pair
-    with everything else hitting.
-    """
-    hits = misses = 0
-    for module in model.modules():
-        wq = module.weight_fake_quant
-        if isinstance(wq, WeightFakeQuant):
-            hits += wq.hits
-            misses += wq.misses
-    return {"hits": hits, "misses": misses}
-
-
-def reset_weight_quant_cache_stats(model: Module) -> None:
-    """Zero the hit/miss counters (the memoized arrays are kept)."""
-    for module in model.modules():
-        wq = module.weight_fake_quant
-        if isinstance(wq, WeightFakeQuant):
-            wq.hits = 0
-            wq.misses = 0
 
 
 def detach_quantizers(model: Module) -> None:

@@ -23,15 +23,15 @@ This module hosts the process-default :data:`REGISTRY` and
 Instrumented subsystems (``repro.serve``, ``repro.resilience``,
 ``repro.formats``, ``repro.nn.quantize``) create their families against
 the default registry at import time, so ``repro.obs.snapshot()``
-reaches every counter surface in the process with one call.  Set the
-``REPRO_OBS=0`` environment variable (or call :func:`set_enabled`) to
-disable recording.
+reaches every counter surface in the process with one call.  The
+default registry always records: ``repro.serve.ServerStats`` and the
+weight-quant memo keep their counts nowhere else.  :func:`disabled`
+switches it off for a micro-benchmark's scope only.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 from typing import Any, Dict, Iterator, Sequence
 
 from . import clock
@@ -48,12 +48,12 @@ __all__ = [
     "Registry", "SIZE_BUCKETS",
     "Span", "TRACER", "Tracer", "WIDE_SECONDS_BUCKETS", "clock", "counter",
     "disabled", "gauge", "histogram", "new_trace_id", "parse_prometheus",
-    "register_collector", "render_json", "render_prometheus", "set_enabled",
-    "snapshot", "to_json", "to_prometheus",
+    "register_collector", "render_json", "render_prometheus", "snapshot",
+    "to_json", "to_prometheus",
 ]
 
 #: The process-default registry every in-repo instrument records into.
-REGISTRY = Registry(enabled=os.environ.get("REPRO_OBS", "1") != "0")
+REGISTRY = Registry()
 
 #: The process-default tracer (spans feed ``repro_span_seconds``).
 TRACER = Tracer(REGISTRY)
@@ -96,17 +96,13 @@ def render_json() -> str:
     return to_json(REGISTRY)
 
 
-def set_enabled(enabled: bool) -> None:
-    """Turn the default registry's record path on or off."""
-    if enabled:
-        REGISTRY.enable()
-    else:
-        REGISTRY.disable()
-
-
 @contextlib.contextmanager
 def disabled() -> Iterator[None]:
-    """Temporarily disable the default registry (overhead benchmarks)."""
+    """Temporarily disable the default registry (overhead benchmarks).
+
+    Every server snapshot and memo count taken over the scope misses
+    its events, so only micro-benchmarks that read neither use it.
+    """
     previous = REGISTRY.enabled
     REGISTRY.disable()
     try:

@@ -15,10 +15,10 @@ request throughput:
   padded decode is token-identical to serial one-request-at-a-time
   decode (bit-exact under ``deterministic_matmul``).
 * :class:`ServerStats` (``stats``) — p50/p95/p99 latency, queue depth,
-  batch-size histogram, weight-cache hit counters, scrub/fault/retry
-  counters and the degradation state; every event also mirrors into the
-  process-wide :mod:`repro.obs` registry, and ``snapshot()`` embeds the
-  registry dump.
+  batch-size histogram, scrub/fault/retry counters and the degradation
+  state, read back from this server's children of the process-wide
+  :mod:`repro.obs` registry (label ``server``), where every event is
+  counted once.
 * ``resilient`` — the self-healing policy layer
   (:class:`ResilienceConfig`, :class:`CircuitBreaker`): golden-copy
   weight scrubbing via :mod:`repro.resilience.scrub`, Sanitizer-backed

@@ -93,6 +93,13 @@ def _submit_all(server: InferenceServer, requests: Sequence[Request],
     return [future.result(timeout=300.0) for future in futures]
 
 
+def _memo_reads() -> Dict[str, int]:
+    """``repro_weight_quant_cache_total`` so far, as hits and misses."""
+    family = obs.REGISTRY.get("repro_weight_quant_cache_total")
+    return {key: int(family.labels(outcome=outcome).value)
+            for key, outcome in (("hits", "hit"), ("misses", "miss"))}
+
+
 def run_serve_benchmark(model: str = "transformer", concurrency: int = 16,
                         num_requests: int = 64, max_batch: int = 16,
                         max_wait_ms: float = 5.0, workers: int = 1,
@@ -104,9 +111,12 @@ def run_serve_benchmark(model: str = "transformer", concurrency: int = 16,
 
     Returns a JSON-safe record: wall-clock seconds and requests/sec for
     both paths, the speedup, the server's stats snapshot (queue depth,
-    batch histogram, latency percentiles) and the pool's weight-cache
-    counters.  ``repeats`` keeps the best wall clock of each path (the
-    usual best-of-N benchmark discipline).
+    batch histogram, latency percentiles) and ``weight_cache``, the
+    weight-quant memo's hits and misses during that batched run (the
+    delta of ``repro_weight_quant_cache_total``, so nothing else in the
+    process may run models meanwhile; zero without ``quant``).
+    ``repeats`` keeps the best wall clock of each path (the usual
+    best-of-N benchmark discipline).
     """
     if concurrency < 1:
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
@@ -123,9 +133,11 @@ def run_serve_benchmark(model: str = "transformer", concurrency: int = 16,
 
     batched_s = float("inf")
     stats: Dict = {}
+    memo: Dict[str, int] = {}
     for _ in range(repeats):
         server = InferenceServer(pool, max_batch=max_batch,
                                  max_wait_ms=max_wait_ms, workers=workers)
+        memo_before = _memo_reads()
         with server:
             t0 = time.perf_counter()
             batched_results = _submit_all(server, requests, concurrency)
@@ -134,6 +146,8 @@ def run_serve_benchmark(model: str = "transformer", concurrency: int = 16,
         if elapsed < batched_s:
             batched_s = elapsed
             stats = server.stats.snapshot()
+            memo = {key: value - memo_before[key]
+                    for key, value in _memo_reads().items()}
 
     matches = sum(1 for a, b in zip(serial_results, batched_results)
                   if _same_result(a, b))
@@ -157,7 +171,7 @@ def run_serve_benchmark(model: str = "transformer", concurrency: int = 16,
         "speedup": round(serial_s / batched_s, 2),
         "blas_token_match_rate": round(matches / num_requests, 4),
         "server_stats": stats,
-        "weight_cache": pool.weight_cache_stats(),
+        "weight_cache": memo,
     }
 
 
@@ -363,13 +377,14 @@ def measure_obs_overhead(model: str = "transformer",
        registry enabled, the shipping configuration) sets the latency
        budget, and
     2. one request's worth of instrument calls — the ``ServerStats``
-       mirror events plus the three tracer spans the engine emits — is
+       events plus the three tracer spans the engine emits — is
        micro-timed in a tight loop, once with the registry recording
        and once disabled via :func:`repro.obs.disabled` (every
-       instrument reduced to one attribute read + branch).  The
-       ``ServerStats`` dict/lock work runs identically on both sides,
-       so the difference isolates the obs mirror: child lock + float
-       adds, span ring appends, histogram bisects.
+       instrument reduced to one attribute read + branch).
+       ``ServerStats`` counts only in the registry, so the difference
+       prices the whole per-request stats bundle: child locks + float
+       adds, span ring appends, histogram bisects.  Only the label
+       lookups and the ``latency`` ring append run on both sides.
 
     ``p50_overhead`` is that per-request cost as a fraction of the p50;
     the committed benchmark gates it below 2% (measured well under

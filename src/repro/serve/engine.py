@@ -135,9 +135,12 @@ class InferenceServer:
     max_queue:
         In-flight request bound enforced at ``submit`` (backpressure).
     workers:
-        Worker threads running batches (one is usually right for the
-        NumPy models: BLAS already uses the cores, and a single worker
-        maximizes coalescing).
+        Worker threads running batches.  More did not help on a 2-vCPU
+        x86 host: :func:`~repro.serve.bench.run_serve_benchmark`
+        (transformer, 128 requests, concurrency 32, best of 3, 3
+        alternating rounds) served 627-721 batched req/s with 1 worker,
+        475-667 with 2 and 363-649 with 4, whose batches also shrank
+        (mean 14.2 requests at 1 and 2 workers, 11.6-12.8 at 4).
     length_bucket:
         Source-length granule for translate batching
         (:func:`~repro.serve.batching.bucket_key`).
@@ -582,16 +585,20 @@ class InferenceServer:
     def _resolve(self, pending: _Pending, result: Any = None,
                  error: Optional[BaseException] = None) -> None:
         now = clock.now()
-        queue_wait = (pending.t_dispatch or now) - pending.t_submit
-        self.stats.record_done(now - pending.t_submit, queue_wait,
-                               failed=error is not None)
         obs.TRACER.record("serve.request", pending.t_submit, now,
                           trace_id=pending.trace_id,
                           kind=pending.request.kind,
                           outcome="error" if error is not None else "ok")
-        self._slots.release()
         with self._idle:
+            # The queue depth changes only under this lock (record_submit
+            # runs under it too), so its high-water mark is exact; the
+            # slot frees after the depth drops, so depth <= max_queue.
+            self.stats.record_done(
+                now - pending.t_submit,
+                (pending.t_dispatch or now) - pending.t_submit,
+                failed=error is not None)
             self._inflight -= 1
+            self._slots.release()
             if not self._inflight:
                 self._idle.notify_all()
         # A client may have cancelled the future; InvalidStateError here

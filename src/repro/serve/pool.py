@@ -10,8 +10,8 @@ same instance:
   :class:`~repro.nn.quantize.WeightFakeQuant` caches the quantized
   array per weight tensor keyed on ``Parameter.version``, so a frozen
   served model quantizes each weight exactly once for its whole
-  lifetime.  :meth:`ModelPool.weight_cache_stats` exposes the hit/miss
-  counters as a serving metric.
+  lifetime; ``repro_weight_quant_cache_total`` counts the memo's hits
+  and misses.
 * **Warmup** primes that memo (and any lazy kernel tables) with one
   tiny inference at build time, keeping the first real request off the
   cold path.
@@ -204,16 +204,3 @@ class ModelPool:
     def warm_models(self) -> Tuple[str, ...]:
         with self._lock:
             return tuple(sorted(self._models))
-
-    def weight_cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-model WeightFakeQuant hit/miss counters (empty when the
-        pool serves unquantized models)."""
-        from ..nn.quantize import weight_quant_cache_stats
-        out: Dict[str, Dict[str, int]] = {}
-        if self.quant is None:
-            return out
-        with self._lock:
-            entries = list(self._models.items())
-        for name, entry in entries:
-            out[name] = weight_quant_cache_stats(entry.model)
-        return out

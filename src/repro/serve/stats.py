@@ -1,4 +1,4 @@
-"""Thread-safe serving metrics: counters, latency percentiles, histograms.
+"""Serving metrics: one server's view of the ``repro_serve_*`` families.
 
 The paper motivates AdaptivFloat by the efficiency of *deployed*
 inference (Table 4 budgets 81.2 us per inference on the accelerator);
@@ -9,23 +9,22 @@ percentiles split into queue wait vs. total.  Queue wait runs from
 submit until a worker takes the request's batch, so it includes waiting
 for a free worker.
 
-All mutation goes through one lock; reads (:meth:`ServerStats.snapshot`)
-produce a plain JSON-safe dict so benchmarks can embed it verbatim in
-``BENCH_serve.json``.
-
-Every ``record_*`` call is also mirrored into the process-wide
-:mod:`repro.obs` registry (``repro_serve_*`` families), so the same
-events that feed this per-server snapshot are scrapeable via the
-Prometheus/JSON exporters; :meth:`ServerStats.snapshot` embeds the
-registry dump under the ``"obs"`` key.  With the registry disabled the
-mirror costs one branch per event.
+Every event is counted once, in the process-wide :mod:`repro.obs`
+registry: each :class:`ServerStats` writes the children of the
+``repro_serve_*`` families labelled with its own ``server`` (a
+per-process sequence number), and :meth:`ServerStats.snapshot` reads
+those children back into a plain JSON-safe dict, so benchmarks can
+embed it verbatim in ``BENCH_serve.json`` and scrapers see the same
+numbers.  The one sample store beside the registry is the ``latency``
+ring, whose exact percentiles the scrub and obs overhead gates read.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from array import array
-from typing import Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,67 +39,63 @@ __all__ = ["LatencyRecorder", "ServerStats"]
 #: Samples are stored as packed doubles, 8 bytes each.
 _SAMPLE_CAP = 100_000
 
-# ---- process-wide obs mirror of the per-server counters ----------------
+#: Source of the ``server`` label: one number per ServerStats in the
+#: process, so two live servers never share a child.
+_SERVER_IDS = itertools.count()
+
 _REQUESTS = obs.counter(
-    "repro_serve_requests_total",
-    "Request lifecycle events across every InferenceServer in the "
-    "process.", ("event",))
-_REQ_SUBMITTED = _REQUESTS.labels(event="submitted")
-_REQ_COMPLETED = _REQUESTS.labels(event="completed")
-_REQ_FAILED = _REQUESTS.labels(event="failed")
-_REQ_REJECTED = _REQUESTS.labels(event="rejected")
-_REQ_DEADLINE = _REQUESTS.labels(event="deadline_expired")
-_REQ_DEGRADED = _REQUESTS.labels(event="degraded_rejected")
+    "repro_serve_requests_total", "Request lifecycle events by server.",
+    ("server", "event"))
 _QUEUE_DEPTH = obs.gauge(
     "repro_serve_queue_depth", "In-flight requests (submitted, not yet "
-    "resolved), summed over servers.")
+    "resolved).", ("server",))
 _QUEUE_PEAK = obs.gauge(
-    "repro_serve_queue_depth_peak", "High-water mark of any one server's "
-    "queue depth.")
+    "repro_serve_queue_depth_peak", "High-water mark of the server's "
+    "queue depth.", ("server",))
 _BATCHES = obs.counter(
     "repro_serve_batches_total", "Micro-batches taken from the buckets "
-    "by workers.")
+    "by workers, by exact size.", ("server", "size"))
 _BATCH_SIZE = obs.histogram(
     "repro_serve_batch_size", "Requests coalesced per dispatched "
-    "micro-batch.", buckets=SIZE_BUCKETS)
+    "micro-batch.", ("server",), buckets=SIZE_BUCKETS)
 _LATENCY = obs.histogram(
     "repro_serve_latency_seconds", "Total request residence time "
-    "(submit to resolve), successful requests only.")
+    "(submit to resolve), successful requests only.", ("server",))
 _QUEUE_WAIT = obs.histogram(
     "repro_serve_queue_wait_seconds", "Wait from submit until a worker "
     "takes the request's batch (includes waiting for a free worker), "
-    "successful requests only.")
+    "successful requests only.", ("server",))
 _SCRUB_PASSES = obs.counter(
     "repro_serve_scrubs_total", "Scrub passes observed by serving "
-    "(periodic daemon + on-demand).")
+    "(periodic daemon + on-demand).", ("server",))
 _SCRUB_TENSORS = obs.counter(
     "repro_serve_scrub_tensors_total", "Tensors CRC-checked by scrub "
-    "passes observed by serving.")
+    "passes observed by serving.", ("server",))
 _SCRUB_SECONDS = obs.histogram(
     "repro_serve_scrub_seconds", "Duration of scrub passes observed by "
-    "serving.")
+    "serving.", ("server",))
 _FAULTS = obs.counter(
     "repro_serve_faults_total", "Detected weight/numeric faults by "
-    "detector kind.", ("kind",))
+    "detector kind.", ("server", "kind"))
 _RETRIES = obs.counter(
     "repro_serve_retries_total", "Micro-batch retry attempts after a "
-    "detected-and-repaired fault.")
+    "detected-and-repaired fault.", ("server",))
 _RESTORES = obs.counter(
     "repro_serve_restores_total", "Tensors repaired from golden streams, "
-    "as observed by serving.")
+    "as observed by serving.", ("server",))
 _RECOVERED = obs.counter(
     "repro_serve_recovered_batches_total", "Micro-batches that survived "
-    "a fault through retry.")
+    "a fault through retry.", ("server",))
 _UNCORRECTABLE = obs.counter(
     "repro_serve_uncorrectable_total", "Faults the scrubber could not "
-    "repair (corrupted golden or retries exhausted).")
+    "repair (corrupted golden or retries exhausted).", ("server",))
 _DEGRADATION = obs.gauge(
     "repro_serve_degradation_state", "Circuit-breaker degradation: "
-    "0=ok, 1=half-open, 2=open.")
+    "0=ok, 1=half-open, 2=open.", ("server",))
 
-#: Breaker state -> numeric gauge level.
-_DEGRADATION_LEVELS = {"ok": 0.0, "closed": 0.0, "half-open": 1.0,
-                       "open": 2.0}
+#: Breaker state -> numeric gauge level, and a level's snapshot name.
+_DEGRADATION_LEVELS = {"ok": 0, "closed": 0, "half-open": 1, "open": 2}
+_DEGRADATION_STATES = ("ok", "half-open", "open")
 
 
 class LatencyRecorder:
@@ -157,181 +152,153 @@ class LatencyRecorder:
 
 
 class ServerStats:
-    """Aggregated counters for one :class:`~repro.serve.InferenceServer`.
+    """One :class:`~repro.serve.InferenceServer`'s metrics, kept in obs.
 
     ``record_*`` methods are called from client threads (submit) and
-    workers (dispatch and completion); every one takes the internal
-    lock, so a :meth:`snapshot` observes a consistent view.
+    workers (dispatch and completion); each writes this server's
+    children of the ``repro_serve_*`` families, whose stripe locks make
+    every write atomic.  The queue-depth high-water mark is exact only
+    if the depth changes under one lock: the engine calls
+    :meth:`record_submit` and :meth:`record_done` under its state lock.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.submitted = 0
-        self.completed = 0
-        self.failed = 0
-        self.rejected = 0
-        self.batches = 0
-        self.queue_depth = 0
-        self.queue_depth_peak = 0
-        self.batch_histogram: Dict[int, int] = {}
+        #: This server's ``server`` label value, unique in the process.
+        self.server = str(next(_SERVER_IDS))
+        self._lock = threading.Lock()           # guards the latency ring
         self.latency = LatencyRecorder()
-        self.queue_wait = LatencyRecorder()
-        # ---- resilience (self-healing serving path) --------------------
-        self.scrubs = 0                    # scrub passes (periodic+on-demand)
-        self.scrub_tensors = 0             # tensors CRC-checked
-        self.scrub_time_s = 0.0
-        self.faults_detected = 0
-        self.fault_kinds: Dict[str, int] = {}   # crc / probe / exception
-        self.retries = 0                   # micro-batch retry attempts
-        self.restores = 0                  # tensors repaired from golden
-        self.recovered_batches = 0         # batches that survived a fault
-        self.uncorrectable = 0             # faults the scrubber couldn't fix
-        self.deadline_expired = 0
-        self.degraded_rejections = 0       # submits shed by the breaker
-        self.degradation = "ok"            # "ok" | breaker state when tripped
+        # Handles on the children every request touches, resolved once
+        # (the counts live in the registry, not here).
+        self._submitted = self._child(_REQUESTS, event="submitted")
+        self._completed = self._child(_REQUESTS, event="completed")
+        self._failed = self._child(_REQUESTS, event="failed")
+        self._depth = self._child(_QUEUE_DEPTH)
+        self._peak = self._child(_QUEUE_PEAK)
+        self._sizes = self._child(_BATCH_SIZE)
+        self._latency_hist = self._child(_LATENCY)
+        self._queue_wait = self._child(_QUEUE_WAIT)
+
+    def _child(self, family: Any, **labels: str) -> Any:
+        return family.labels(server=self.server, **labels)
 
     # ------------------------------------------------------------ mutation
     def record_submit(self) -> None:
-        with self._lock:
-            self.submitted += 1
-            self.queue_depth += 1
-            self.queue_depth_peak = max(self.queue_depth_peak,
-                                        self.queue_depth)
-            peak = self.queue_depth_peak
-        _REQ_SUBMITTED.inc()
-        _QUEUE_DEPTH.inc()
-        _QUEUE_PEAK.set_max(peak)
+        self._submitted.inc()
+        self._depth.inc()
+        self._peak.set_max(self._depth.value)
 
     def record_reject(self) -> None:
-        with self._lock:
-            self.rejected += 1
-        _REQ_REJECTED.inc()
+        self._child(_REQUESTS, event="rejected").inc()
 
     def record_batch(self, size: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batch_histogram[size] = self.batch_histogram.get(size, 0) + 1
-        _BATCHES.inc()
-        _BATCH_SIZE.observe(size)
+        self._child(_BATCHES, size=str(size)).inc()
+        self._sizes.observe(size)
 
     def record_done(self, latency_s: float, queue_wait_s: float,
                     failed: bool = False) -> None:
-        with self._lock:
-            self.queue_depth -= 1
-            if failed:
-                self.failed += 1
-            else:
-                self.completed += 1
-                self.latency.record(latency_s)
-                self.queue_wait.record(queue_wait_s)
-        _QUEUE_DEPTH.dec()
+        self._depth.dec()
         if failed:
-            _REQ_FAILED.inc()
-        else:
-            _REQ_COMPLETED.inc()
-            _LATENCY.observe(latency_s)
-            _QUEUE_WAIT.observe(queue_wait_s)
+            self._failed.inc()
+            return
+        self._completed.inc()
+        self._latency_hist.observe(latency_s)
+        self._queue_wait.observe(queue_wait_s)
+        with self._lock:
+            self.latency.record(latency_s)
 
     # -------------------------------------------------------- resilience
     def record_scrub(self, checked: int, restored: int, uncorrectable: int,
                      duration_s: float) -> None:
-        with self._lock:
-            self.scrubs += 1
-            self.scrub_tensors += checked
-            self.scrub_time_s += duration_s
-            self.restores += restored
-            self.uncorrectable += uncorrectable
-        _SCRUB_PASSES.inc()
-        _SCRUB_TENSORS.inc(checked)
-        _SCRUB_SECONDS.observe(duration_s)
-        if restored:
-            _RESTORES.inc(restored)
-        if uncorrectable:
-            _UNCORRECTABLE.inc(uncorrectable)
+        self._child(_SCRUB_PASSES).inc()
+        self._child(_SCRUB_TENSORS).inc(checked)
+        self._child(_SCRUB_SECONDS).observe(duration_s)
+        self._child(_RESTORES).inc(restored)
+        self._child(_UNCORRECTABLE).inc(uncorrectable)
 
     def record_fault(self, kind: str) -> None:
-        with self._lock:
-            self.faults_detected += 1
-            self.fault_kinds[kind] = self.fault_kinds.get(kind, 0) + 1
-        _FAULTS.labels(kind=kind).inc()
+        self._child(_FAULTS, kind=kind).inc()
 
     def record_retry(self) -> None:
-        with self._lock:
-            self.retries += 1
-        _RETRIES.inc()
+        self._child(_RETRIES).inc()
 
     def record_recovered(self) -> None:
-        with self._lock:
-            self.recovered_batches += 1
-        _RECOVERED.inc()
+        self._child(_RECOVERED).inc()
 
     def record_uncorrectable(self) -> None:
-        with self._lock:
-            self.uncorrectable += 1
-        _UNCORRECTABLE.inc()
+        self._child(_UNCORRECTABLE).inc()
 
     def record_deadline(self) -> None:
-        with self._lock:
-            self.deadline_expired += 1
-        _REQ_DEADLINE.inc()
+        self._child(_REQUESTS, event="deadline_expired").inc()
 
     def record_degraded_rejection(self) -> None:
-        with self._lock:
-            self.degraded_rejections += 1
-        _REQ_DEGRADED.inc()
+        self._child(_REQUESTS, event="degraded_rejected").inc()
 
     def set_degradation(self, state: str) -> None:
-        with self._lock:
-            self.degradation = state
-        _DEGRADATION.set(_DEGRADATION_LEVELS.get(state, 2.0))
+        self._child(_DEGRADATION).set(_DEGRADATION_LEVELS.get(state, 2))
 
     # ------------------------------------------------------------- reading
-    def snapshot(self) -> Dict:
-        """JSON-safe summary of everything recorded so far.
+    def _mine(self, family: Any) -> List[Tuple[Dict[str, str], Any]]:
+        """This server's children of ``family``, with their labels."""
+        return [(labels, child) for labels, child in family.children()
+                if labels["server"] == self.server]
 
-        The ``"obs"`` key carries the process-wide registry dump
-        (:func:`repro.obs.snapshot`), so any record embedding this
-        snapshot — ``BENCH_serve.json`` in particular — also embeds
-        every metric family in the process.
+    def _value(self, family: Any) -> int:
+        return int(sum(child.value for _, child in self._mine(family)))
+
+    def snapshot(self) -> Dict:
+        """JSON-safe summary of this server's children.
+
+        ``latency`` summarizes the exact sample ring; ``queue_wait``
+        gives the count and mean of its histogram.  The families are
+        read one after another, so a snapshot of a busy server may
+        split an event that is being recorded; after ``drain()`` it is
+        exact.  The whole registry is :func:`repro.obs.snapshot`, which
+        bench records embed beside this.
         """
-        obs_dump = obs.snapshot()
+        requests = {labels["event"]: int(child.value)
+                    for labels, child in self._mine(_REQUESTS)}
+        sizes = sorted((int(labels["size"]), int(child.value))
+                       for labels, child in self._mine(_BATCHES))
+        batches = sum(count for _, count in sizes)
+        kinds = {labels["kind"]: int(child.value)
+                 for labels, child in self._mine(_FAULTS)}
+        waits = self._queue_wait.count
+        degradation = self._mine(_DEGRADATION)
         with self._lock:
-            histogram = {str(size): count for size, count
-                         in sorted(self.batch_histogram.items())}
-            mean_batch = (sum(size * count for size, count
-                              in self.batch_histogram.items())
-                          / self.batches) if self.batches else 0.0
-            return {
-                "requests": {
-                    "submitted": self.submitted,
-                    "completed": self.completed,
-                    "failed": self.failed,
-                    "rejected": self.rejected,
-                },
-                "queue": {
-                    "depth": self.queue_depth,
-                    "depth_peak": self.queue_depth_peak,
-                },
-                "batches": {
-                    "count": self.batches,
-                    "mean_size": round(mean_batch, 3),
-                    "histogram": histogram,
-                },
-                "latency": self.latency.summary(),
-                "queue_wait": self.queue_wait.summary(),
-                "resilience": {
-                    "scrubs": self.scrubs,
-                    "scrub_tensors": self.scrub_tensors,
-                    "scrub_time_s": round(self.scrub_time_s, 6),
-                    "faults_detected": self.faults_detected,
-                    "fault_kinds": dict(sorted(self.fault_kinds.items())),
-                    "retries": self.retries,
-                    "restores": self.restores,
-                    "recovered_batches": self.recovered_batches,
-                    "uncorrectable": self.uncorrectable,
-                    "deadline_expired": self.deadline_expired,
-                    "degraded_rejections": self.degraded_rejections,
-                    "degradation": self.degradation,
-                },
-                "obs": obs_dump,
-            }
+            latency = self.latency.summary()
+        return {
+            "requests": {event: requests.get(event, 0) for event in
+                         ("submitted", "completed", "failed", "rejected")},
+            "queue": {
+                "depth": int(self._depth.value),
+                "depth_peak": int(self._peak.value),
+            },
+            "batches": {
+                "count": batches,
+                "mean_size": round(sum(size * count for size, count
+                                       in sizes) / batches, 3)
+                if batches else 0.0,
+                "histogram": {str(size): count for size, count in sizes},
+            },
+            "latency": latency,
+            "queue_wait": {
+                "count": waits,
+                "mean_ms": round(self._queue_wait.sum / waits * 1e3, 4),
+            } if waits else None,
+            "resilience": {
+                "scrubs": self._value(_SCRUB_PASSES),
+                "scrub_tensors": self._value(_SCRUB_TENSORS),
+                "scrub_time_s": round(sum(
+                    child.sum for _, child in self._mine(_SCRUB_SECONDS)), 6),
+                "faults_detected": sum(kinds.values()),
+                "fault_kinds": dict(sorted(kinds.items())),
+                "retries": self._value(_RETRIES),
+                "restores": self._value(_RESTORES),
+                "recovered_batches": self._value(_RECOVERED),
+                "uncorrectable": self._value(_UNCORRECTABLE),
+                "deadline_expired": requests.get("deadline_expired", 0),
+                "degraded_rejections": requests.get("degraded_rejected", 0),
+                "degradation": _DEGRADATION_STATES[
+                    int(degradation[0][1].value) if degradation else 0],
+            },
+        }

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.nn.decoding import AttentionKVCache, DecoderKVCache, pad_hypotheses
 from repro.nn.models.seq2seq import Seq2Seq, Seq2SeqConfig
 from repro.nn.models.transformer import Transformer, TransformerConfig
 from repro.nn.optim import SGD
 from repro.nn.quantize import (QuantSpec, attach_act_quantizers,
-                               attach_weight_quantizers, calibrate,
-                               weight_quant_cache_stats)
+                               attach_weight_quantizers, calibrate)
 from repro.nn.tensor import Tensor, deterministic_matmul, no_grad
 
 
@@ -224,17 +224,24 @@ def test_beam_decode_all_empty_hypotheses_width():
 
 
 # ----------------------------------------------------- weight-quant cache
+def _memo():
+    """``repro_weight_quant_cache_total`` so far, by outcome."""
+    family = obs.REGISTRY.get("repro_weight_quant_cache_total")
+    return {o: family.labels(outcome=o).value for o in ("hit", "miss")}
+
+
 def test_ptq_eval_quantizes_each_tensor_exactly_once():
     model, src = _transformer(5, max_len=10)
     attach_weight_quantizers(model, QuantSpec("adaptivfloat", 8))
+    before = _memo()
     model.greedy_decode(src)
     model.greedy_decode(src)
     model.beam_decode(src, beam_size=2)
-    stats = weight_quant_cache_stats(model)
+    after = _memo()
     n_weights = sum(1 for m in model.modules()
                     if m.weight_fake_quant is not None)
-    assert stats["misses"] == n_weights
-    assert stats["hits"] > 0
+    assert after["miss"] - before["miss"] == n_weights
+    assert after["hit"] > before["hit"]
 
 
 def test_weight_quant_cache_invalidates_on_optimizer_step():
@@ -247,10 +254,11 @@ def test_weight_quant_cache_invalidates_on_optimizer_step():
     wq = layer.weight_fake_quant
     x = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
 
+    before = _memo()
     q1 = wq(layer.weight).data
     q2 = wq(layer.weight).data
     np.testing.assert_array_equal(q1, q2)
-    assert wq.misses == 1 and wq.hits == 1
+    assert _memo() == {"hit": before["hit"] + 1, "miss": before["miss"] + 1}
 
     out = layer(x)
     out.sum().backward()
@@ -260,7 +268,8 @@ def test_weight_quant_cache_invalidates_on_optimizer_step():
     assert layer.weight.version == version_before + 1
 
     q3 = wq(layer.weight).data
-    assert wq.misses == 2  # cache invalidated, re-quantized
+    # cache invalidated, re-quantized
+    assert _memo()["miss"] == before["miss"] + 2
     assert not np.array_equal(q1, q3)
     q4 = wq(layer.weight).data
     np.testing.assert_array_equal(q3, q4)  # stable again until next step

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import nn, obs
 from repro.nn.quantize import QuantSpec, attach_weight_quantizers
+
+
+def _memo():
+    """``repro_weight_quant_cache_total`` so far, by outcome."""
+    family = obs.REGISTRY.get("repro_weight_quant_cache_total")
+    return {o: family.labels(outcome=o).value for o in ("hit", "miss")}
 
 
 def _model():
@@ -86,18 +92,20 @@ class TestSwapParameter:
         attach_weight_quantizers(model, QuantSpec("adaptivfloat", 8))
         x = nn.Tensor(np.ones((2, 4), dtype=np.float32))
         model(x)
-        fq = model._modules["0"].weight_fake_quant
+        before = _memo()
         model(x)
-        hits_before = fq.hits
-        assert hits_before > 0  # second forward served from the memo
+        # second forward served from the memo: one hit per weight
+        assert _memo() == {"hit": before["hit"] + 2, "miss": before["miss"]}
 
         old = model.swap_parameter("0.weight",
                                    model.get_parameter("0.weight").data * 4.0)
-        misses_before = fq.misses
+        before = _memo()
         model(x)
-        assert fq.misses > misses_before  # version bump forced a requant
+        # version bump forced a requant of the swapped weight alone
+        assert _memo() == {"hit": before["hit"] + 1,
+                           "miss": before["miss"] + 1}
 
         model.swap_parameter("0.weight", old)
-        misses_before = fq.misses
+        before = _memo()
         model(x)
-        assert fq.misses > misses_before  # restore invalidates again
+        assert _memo()["miss"] == before["miss"] + 1  # restore invalidates

@@ -119,7 +119,7 @@ class TestBackpressure:
             with pytest.raises(ServerSaturated):
                 server.submit("translate", SRC, max_len=4, block=True,
                               timeout=0.01)
-            assert server.stats.rejected == 2
+            assert server.stats.snapshot()["requests"]["rejected"] == 2
             gate.set()                       # release the workers
             server.drain()
             # slots freed: a new submit succeeds again

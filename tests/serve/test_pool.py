@@ -1,16 +1,34 @@
 """Warm-model pool: lazy build, sharing, quantizer attachment, warmup."""
 
+import sys
 import threading
 
+import numpy as np
 import pytest
 
+from repro import obs
+from repro.nn import no_grad
 from repro.nn.quantize import QuantSpec
-from repro.serve import ModelPool
+from repro.rng import fresh_rng
+from repro.serve import ModelPool, Request, run_microbatch
 
 
 @pytest.fixture(scope="module")
 def pool():
     return ModelPool()
+
+
+def _memo():
+    """``repro_weight_quant_cache_total`` so far, by outcome."""
+    family = obs.REGISTRY.get("repro_weight_quant_cache_total")
+    return {o: family.labels(outcome=o).value for o in ("hit", "miss")}
+
+
+def _images(entry, seed=7):
+    cfg = entry.model.config
+    return fresh_rng(seed).standard_normal(
+        (1, cfg.in_channels, cfg.image_size, cfg.image_size)
+    ).astype(np.float32)
 
 
 def test_get_builds_once_and_shares(pool):
@@ -42,32 +60,61 @@ def test_quant_tuple_becomes_spec():
     assert quant_pool.quant == QuantSpec("adaptivfloat", 8)
 
 
-def test_weight_cache_stats_empty_without_quant(pool):
-    pool.get("transformer")
-    assert pool.weight_cache_stats() == {}
+def test_no_memo_traffic_without_quant(pool):
+    entry = pool.get("transformer")
+    before = _memo()
+    run_microbatch(entry, [Request("translate", [3, 4, 5], max_len=4)])
+    assert _memo() == before
 
 
 def test_warmup_primes_weight_quant_memo():
     quant_pool = ModelPool(quant=("adaptivfloat", 8))
-    quant_pool.get("resnet")  # resnet has the cheapest warmup forward
-    stats = quant_pool.weight_cache_stats()["resnet"]
-    assert stats["misses"] > 0          # every weight quantized once
+    before = _memo()
+    entry = quant_pool.get("resnet")  # resnet has the cheapest warmup forward
+    warm = _memo()
+    n_weights = sum(1 for m in entry.model.modules()
+                    if m.weight_fake_quant is not None)
+    assert warm["miss"] - before["miss"] == n_weights  # each quantized once
     # a second forward is all hits: frozen weights never re-quantize
-    import numpy as np
-
-    from repro.nn import no_grad
-    from repro.rng import fresh_rng
-
-    entry = quant_pool.get("resnet")
-    cfg = entry.model.config
-    images = fresh_rng(7).standard_normal(
-        (1, cfg.in_channels, cfg.image_size, cfg.image_size)
-    ).astype(np.float32)
     with no_grad():
-        entry.model(images)
-    after = quant_pool.weight_cache_stats()["resnet"]
-    assert after["misses"] == stats["misses"]
-    assert after["hits"] > stats["hits"]
+        entry.model(_images(entry))
+    after = _memo()
+    assert after["miss"] == warm["miss"]
+    assert after["hit"] > warm["hit"]
+
+
+def test_shared_memo_counts_every_read_across_threads():
+    """Four threads run one pool-shared AdaptivFloat-8 model with the
+    interpreter switching threads every 10 us: the memo counter moves
+    by exactly one hit per weight read and loses none."""
+    entry = ModelPool(quant=("adaptivfloat", 8)).get("resnet")
+    reads = sum(1 for m in entry.model.modules()
+                if m.weight_fake_quant is not None)    # per forward
+    images = _images(entry)
+    threads, forwards = 4, 20
+    barrier = threading.Barrier(threads)
+
+    def run():
+        barrier.wait(timeout=60)
+        with no_grad():
+            for _ in range(forwards):
+                entry.model(images)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        before = _memo()
+        workers = [threading.Thread(target=run) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        after = _memo()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert after == {"hit": before["hit"] + threads * forwards * reads,
+                     "miss": before["miss"]}
 
 
 def test_build_failure_caches_nothing_and_retry_succeeds(monkeypatch):

@@ -89,7 +89,7 @@ class TestServerStats:
         # failed requests are not latency samples
         assert snap["latency"]["window"] == 2
         assert snap["latency"]["count_lifetime"] == 2
-        assert snap["queue_wait"]["window"] == 2
+        assert snap["queue_wait"]["count"] == 2
 
     def test_resilience_counters(self):
         stats = ServerStats()
@@ -131,10 +131,53 @@ class TestServerStats:
         stats.record_fault("crc")
         json.dumps(stats.snapshot())  # must not raise
 
-    def test_snapshot_embeds_obs_registry(self):
-        stats = ServerStats()
-        stats.record_submit()
-        snap = stats.snapshot()
-        # the registry dump rides along so BENCH_serve.json carries it
-        assert "obs" in snap
-        assert "repro_serve_requests_total" in snap["obs"]
+
+class TestServerLabel:
+    def test_two_live_servers_count_apart(self):
+        """Two servers alive at once each count only their own requests,
+        and each snapshot equals the registry children labelled with its
+        ``server``."""
+        from repro import obs
+        from repro.serve import InferenceServer, ModelPool
+        from repro.serve.bench import build_requests
+
+        requests = build_requests("resnet", 5, seed=0)
+        pool = ModelPool()
+        with InferenceServer(pool, max_batch=4, max_wait_ms=1.0) as a, \
+                InferenceServer(pool, max_batch=2, max_wait_ms=1.0) as b:
+            assert a.stats.server != b.stats.server
+            futures = [a.submit(r.kind, r.payload) for r in requests[:3]]
+            futures += [b.submit(r.kind, r.payload) for r in requests]
+            for future in futures:
+                future.result(timeout=60)
+        registry = obs.snapshot()
+
+        for stats, served in ((a.stats, 3), (b.stats, 5)):
+            def mine(family):
+                return [sample for sample in registry[family]["samples"]
+                        if sample["labels"]["server"] == stats.server]
+
+            snap = stats.snapshot()
+            assert snap["requests"] == {"submitted": served,
+                                        "completed": served,
+                                        "failed": 0, "rejected": 0}
+            events = {sample["labels"]["event"]: sample["value"]
+                      for sample in mine("repro_serve_requests_total")}
+            assert {event: events.get(event, 0)
+                    for event in snap["requests"]} == snap["requests"]
+            sizes = {sample["labels"]["size"]: sample["value"]
+                     for sample in mine("repro_serve_batches_total")}
+            assert sizes == snap["batches"]["histogram"]
+            assert sum(int(size) * n for size, n in sizes.items()) == served
+            (depth,) = mine("repro_serve_queue_depth")
+            (peak,) = mine("repro_serve_queue_depth_peak")
+            assert snap["queue"] == {"depth": depth["value"],
+                                     "depth_peak": peak["value"]}
+            assert depth["value"] == 0
+            (size_hist,) = mine("repro_serve_batch_size")
+            assert size_hist["count"] == snap["batches"]["count"]
+            assert size_hist["sum"] == served
+            (latency,) = mine("repro_serve_latency_seconds")
+            assert latency["count"] == snap["latency"]["count_lifetime"]
+            (wait,) = mine("repro_serve_queue_wait_seconds")
+            assert wait["count"] == snap["queue_wait"]["count"] == served

@@ -30,10 +30,10 @@ Two suites:
   closed-loop single-fault recovery record (exponent-bit weight flip
   injected mid-serve; scrub/restore/retry counters) plus the measured
   p50 latency overhead of golden-copy scrubbing and of the metrics
-  spine itself (registry enabled vs disabled).  The server stats
-  snapshot embeds the full ``repro.obs`` registry dump, and the record
-  additionally stores the Prometheus text rendering round-tripped
-  through the validating parser.  Gates: >= 3x throughput speedup,
+  spine itself (registry enabled vs disabled).  The record embeds the
+  full ``repro.obs`` registry dump under ``observability.registry``
+  and checks that the Prometheus text rendering round-trips through
+  the validating parser.  Gates: >= 3x throughput speedup,
   every family token-identical, zero failed requests + token-identical
   recovery under injection, scrub p50 overhead below 5%, obs p50
   overhead below 2%, and the Prometheus exposition must parse.

@@ -1,6 +1,7 @@
 """obs smoke: serve a few requests with a live ``/metrics`` endpoint,
-scrape it and check the exposition parses and carries the required
-families.
+scrape it and check the exposition parses, carries the required
+families, and counts this server's completed requests under its
+``server`` label exactly as ``server.stats.snapshot()`` does.
 
 Run:  PYTHONPATH=src python tools/ci/scrape_metrics.py
 """
@@ -32,4 +33,12 @@ required = [
 ]
 missing = [name for name in required if name not in families]
 assert not missing, f"scrape missing families: {missing}"
+completed = [value for _, labels, value
+             in families["repro_serve_requests_total"]["samples"]
+             if labels == {"server": server.stats.server,
+                           "event": "completed"}]
+snapshot = server.stats.snapshot()["requests"]["completed"]
+assert completed == [len(requests)] and snapshot == len(requests), (
+    f"scraped completed {completed}, snapshot {snapshot}, "
+    f"served {len(requests)}")
 print(f"obs smoke OK: {len(families)} families scraped")
