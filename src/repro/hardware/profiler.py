@@ -1,7 +1,7 @@
 """MAC counting and model-on-accelerator cost estimation.
 
 ``count_macs()`` is a context manager: any matmul or convolution
-executed inside it (by the autodiff tensor ops and the array kernels)
+executed inside it (by the ``matmul`` and ``conv2d`` primitives of ``nn``)
 on the same thread is tallied, so the MAC count of one model inference
 is measured, not hand-derived — even while other threads (say, serving
 workers) run their own forwards.
@@ -56,7 +56,7 @@ def count_macs() -> Iterator[MacCounter]:
 
 
 def record_matmul(shape_a: Tuple[int, ...], shape_b: Tuple[int, ...]) -> None:
-    """Called by ``matmul_data``; no-op when no counter is open."""
+    """Called by the ``matmul`` primitive; no-op when no counter is open."""
     counters = hooks.STATE.counters
     if not counters:
         return

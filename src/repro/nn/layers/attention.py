@@ -7,28 +7,17 @@ speech model [4].
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
-from ... import hooks as _hooks
 from .. import functional as F
-from .. import sanitize as _sanitize
-from .. import tensor as _tensor
 from ..decoding import AttentionKVCache
 from ..module import Module
-from ..sanitize import check_op
-from ..tensor import Tensor, is_grad_enabled, matmul_data
+from ..tensor import Tensor, as_tensor, is_grad_enabled, layer_inputs
 from .linear import Linear
 
 __all__ = ["AdditiveAttention", "MultiHeadAttention"]
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    """``functional.softmax`` over the last axis, on an array."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 class MultiHeadAttention(Module):
@@ -42,14 +31,20 @@ class MultiHeadAttention(Module):
         self.d_model = d_model
         self.num_heads = num_heads
         self.d_head = d_model // num_heads
+        #: the logits' 1/sqrt(d_head) scale, as float32
+        self.scale = np.asarray(1.0 / np.sqrt(self.d_head), dtype=np.float32)
         self.w_q = Linear(d_model, d_model, rng=rng)
         self.w_k = Linear(d_model, d_model, rng=rng)
         self.w_v = Linear(d_model, d_model, rng=rng)
         self.w_o = Linear(d_model, d_model, rng=rng)
 
-    def _split_heads(self, x: Tensor) -> Tensor:
+    def _heads_of(self, projection: Tensor, grad: bool):
+        """A projection's (B, T, D) output as (B, H, T, d_head) heads,
+        computed on its array when grad is off."""
+        x = projection if grad else projection.data
         batch, seq, _ = x.shape
-        return x.reshape(batch, seq, self.num_heads, self.d_head).transpose(0, 2, 1, 3)
+        return F.transpose(
+            F.reshape(x, batch, seq, self.num_heads, self.d_head), 0, 2, 1, 3)
 
     def forward(self, query: Tensor, key: Tensor, value: Tensor,
                 mask: Optional[np.ndarray] = None,
@@ -66,101 +61,31 @@ class MultiHeadAttention(Module):
         memory) on first use and reuses the stored projections — the
         ``key``/``value`` arguments are ignored afterwards.
         """
-        if _tensor.array_kernels():
-            return self._forward_arrays(query, key, value, mask, cache)
-        if cache is not None and is_grad_enabled():
+        grad = is_grad_enabled()
+        if cache is not None and grad:
             raise RuntimeError(
                 "KV-cached attention is inference-only; wrap decoding in "
                 "no_grad() (cached K/V do not join the autodiff graph)")
         batch, tq, _ = query.shape
-        q = self._split_heads(self.w_q(query))
+        q = self._heads_of(self.w_q(query), grad)
         if cache is None:
-            k = self._split_heads(self.w_k(key))
-            v = self._split_heads(self.w_v(value))
+            k = self._heads_of(self.w_k(key), grad)
+            v = self._heads_of(self.w_v(value), grad)
         elif cache.kind == "cross":
             if cache.k is None:
-                cache.set(self._split_heads(self.w_k(key)).data,
-                          self._split_heads(self.w_v(value)).data)
-            k, v = Tensor(cache.k), Tensor(cache.v)
-        else:
-            k_new = self._split_heads(self.w_k(key))
-            v_new = self._split_heads(self.w_v(value))
-            k_full, v_full = cache.append(k_new.data, v_new.data)
-            k, v = Tensor(k_full), Tensor(v_full)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.d_head))
-        if mask is not None:
-            scores = F.masked_fill(scores, mask, -1e9)
-        attn = F.softmax(scores, axis=-1)
-        context = attn @ v  # (B, H, Tq, d_head)
-        merged = context.transpose(0, 2, 1, 3).reshape(batch, tq, self.d_model)
-        return self.w_o(merged)
-
-    def _heads(self, x: np.ndarray, state: Any) -> np.ndarray:
-        """:meth:`_split_heads` on an array: reshape, then transpose."""
-        batch, seq, _ = x.shape
-        split = x.reshape(batch, seq, self.num_heads, self.d_head)
-        if state is not None:
-            check_op(state, "reshape", split, (x,))
-        heads = split.transpose(0, 2, 1, 3)
-        if state is not None:
-            check_op(state, "transpose", heads, (split,))
-        return heads
-
-    def _forward_arrays(self, query: Tensor, key: Tensor, value: Tensor,
-                        mask: Optional[np.ndarray],
-                        cache: Optional[AttentionKVCache]) -> Tensor:
-        """:meth:`forward` on ndarrays (see ``tensor.array_kernels``).
-
-        The projections stay ``Linear`` module calls; everything between
-        them is the Tensor path's op sequence on arrays, each op checked
-        under a sanitizer.
-        """
-        state = _sanitize.current_state() if _hooks.LIVE else None
-        batch, tq, _ = query.shape
-        q = self._heads(self.w_q(query).data, state)
-        if cache is None:
-            k = self._heads(self.w_k(key).data, state)
-            v = self._heads(self.w_v(value).data, state)
-        elif cache.kind == "cross":
-            if cache.k is None:
-                cache.set(self._heads(self.w_k(key).data, state),
-                          self._heads(self.w_v(value).data, state))
+                cache.set(self._heads_of(self.w_k(key), grad),
+                          self._heads_of(self.w_v(value), grad))
             k, v = cache.k, cache.v
         else:
-            k_new = self._heads(self.w_k(key).data, state)
-            v_new = self._heads(self.w_v(value).data, state)
-            k, v = cache.append(k_new, v_new)
-        kt = k.transpose(0, 1, 3, 2)
-        if state is not None:
-            check_op(state, "transpose", kt, (k,))
-        logits = matmul_data(q, kt)
-        if state is not None:
-            check_op(state, "matmul", logits, (q, kt))
-        scale = np.asarray(1.0 / np.sqrt(self.d_head), dtype=np.float32)
-        scores = logits * scale
-        if state is not None:
-            check_op(state, "mul", scores, (logits, scale))
-        del logits  # freed where the Tensor path frees it
+            k, v = cache.append(self._heads_of(self.w_k(key), grad),
+                                self._heads_of(self.w_v(value), grad))
+        scores = F.mul(F.matmul(q, F.transpose(k, 0, 1, 3, 2)), self.scale)
         if mask is not None:
-            unmasked = scores
-            scores = np.where(np.asarray(mask, dtype=bool), np.float32(-1e9),
-                              unmasked)
-            if state is not None:
-                check_op(state, "masked_fill", scores, (unmasked,))
-            del unmasked
-        attn = _softmax(scores)
-        if state is not None:
-            check_op(state, "softmax", attn, (scores,))
-        context = matmul_data(attn, v)  # (B, H, Tq, d_head)
-        if state is not None:
-            check_op(state, "matmul", context, (attn, v))
-        swapped = context.transpose(0, 2, 1, 3)
-        if state is not None:
-            check_op(state, "transpose", swapped, (context,))
-        merged = swapped.reshape(batch, tq, self.d_model)
-        if state is not None:
-            check_op(state, "reshape", merged, (swapped,))
-        return self.w_o(Tensor(merged))
+            scores = F.masked_fill(scores, mask, -1e9)
+        context = F.matmul(F.softmax(scores, axis=-1), v)  # (B, H, Tq, d_head)
+        merged = F.reshape(F.transpose(context, 0, 2, 1, 3),
+                           batch, tq, self.d_model)
+        return self.w_o(as_tensor(merged))
 
 
 class AdditiveAttention(Module):
@@ -191,12 +116,16 @@ class AdditiveAttention(Module):
         ``keys_proj`` optionally supplies a precomputed
         :meth:`project_keys` result (it must match ``keys``).
         """
+        grad = is_grad_enabled()
         batch, steps, key_size = keys.shape
-        q = self.w_query(query).reshape(batch, 1, -1)
-        k = self.w_key(keys) if keys_proj is None else keys_proj
-        scores = self.v((q + k).tanh()).reshape(batch, steps)
+        q, = layer_inputs(grad, self.w_query(query))
+        q = F.reshape(q, batch, 1, -1)
+        k, keys = layer_inputs(
+            grad, self.w_key(keys) if keys_proj is None else keys_proj, keys)
+        scores, = layer_inputs(grad, self.v(as_tensor(F.tanh(F.add(q, k)))))
+        scores = F.reshape(scores, batch, steps)
         if mask is not None:
             scores = F.masked_fill(scores, mask, -1e9)
-        weights = F.softmax(scores, axis=-1).reshape(batch, 1, steps)
-        context = weights @ keys  # (B, 1, K)
-        return context.reshape(batch, key_size)
+        weights = F.reshape(F.softmax(scores, axis=-1), batch, 1, steps)
+        context = F.matmul(weights, keys)  # (B, 1, K)
+        return as_tensor(F.reshape(context, batch, key_size))

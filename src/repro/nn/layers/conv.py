@@ -9,7 +9,7 @@ import numpy as np
 from .. import functional as F
 from .. import init
 from ..module import Module, Parameter
-from ..tensor import Tensor
+from ..tensor import Tensor, as_tensor, is_grad_enabled, layer_inputs
 
 __all__ = ["Conv2d"]
 
@@ -32,7 +32,8 @@ class Conv2d(Module):
         self.bias = Parameter(init.zeros((out_channels,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        weight = self.quant_weight(self.weight)
-        out = F.conv2d(x, weight, self.bias,
+        x, weight, bias = layer_inputs(
+            is_grad_enabled(), x, self.quant_weight(self.weight), self.bias)
+        out = F.conv2d(x, weight, bias,
                        stride=self.stride, padding=self.padding)
-        return self.quant_act(out)
+        return self.quant_act(as_tensor(out))

@@ -6,15 +6,10 @@ from typing import Optional
 
 import numpy as np
 
-from ... import hooks as _hooks
 from .. import functional as F
 from .. import init
-from .. import sanitize as _sanitize
-from .. import tensor as _tensor
 from ..module import Module, Parameter
-from ..sanitize import check_op
-from ..tensor import Tensor
-from .linear import _weight_array
+from ..tensor import Tensor, as_tensor, is_grad_enabled, layer_inputs
 
 __all__ = ["Embedding"]
 
@@ -31,16 +26,6 @@ class Embedding(Module):
             (num_embeddings, embedding_dim), std=0.05, rng=rng))
 
     def forward(self, ids: np.ndarray) -> Tensor:
-        if _tensor.array_kernels():
-            return self._forward_arrays(ids)
-        weight = self.quant_weight(self.weight)
-        return self.quant_act(F.embedding(weight, ids))
-
-    def _forward_arrays(self, ids: np.ndarray) -> Tensor:
-        """:meth:`forward` on ndarrays (see ``tensor.array_kernels``)."""
-        state = _sanitize.current_state() if _hooks.LIVE else None
-        w = _weight_array(self, self.weight, state)
-        out = w[np.asarray(ids)]
-        if state is not None:
-            check_op(state, "getitem", out, (w,))
-        return self.quant_act(Tensor(out))
+        weight, = layer_inputs(is_grad_enabled(),
+                               self.quant_weight(self.weight))
+        return self.quant_act(as_tensor(F.embedding(weight, ids)))

@@ -3,22 +3,20 @@
 The paper's Figure 1 observation hinges on the difference between these
 two: BatchNorm reparameterizes weights (keeping CNN weight ranges
 narrow) while LayerNorm does not (letting Transformer weights grow an
-order of magnitude larger).  Both are implemented as autodiff composites
-so quantization-aware retraining differentiates through them; with grad
-off, LayerNorm runs the same ops as an array kernel (docs/inference.md).
+order of magnitude larger).  Both are written once over the primitives
+of :mod:`repro.nn.functional`, so quantization-aware retraining
+differentiates through them and, with grad off, the same ops run on
+arrays (docs/inference.md, "One forward").
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ... import hooks as _hooks
+from .. import functional as F
 from .. import init
-from .. import sanitize as _sanitize
-from .. import tensor as _tensor
 from ..module import Module, Parameter
-from ..sanitize import check_op
-from ..tensor import Tensor
+from ..tensor import Tensor, as_tensor, is_grad_enabled, layer_inputs
 
 __all__ = ["BatchNorm2d", "LayerNorm"]
 
@@ -33,52 +31,13 @@ class LayerNorm(Module):
         self.bias = Parameter(init.zeros((normalized_shape,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        if _tensor.array_kernels():
-            return self._forward_arrays(x)
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        inv_std = (var + self.eps) ** -0.5
-        return centered * inv_std * self.weight + self.bias
-
-    def _forward_arrays(self, x: Tensor) -> Tensor:
-        """:meth:`forward` on ndarrays (see ``tensor.array_kernels``):
-        the same ten ops, each checked under a sanitizer."""
-        state = _sanitize.current_state() if _hooks.LIVE else None
-        xd = x.data
-        mu = xd.mean(axis=-1, keepdims=True)
-        if state is not None:
-            check_op(state, "mean", mu, (xd,))
-        neg_mu = -mu
-        if state is not None:
-            check_op(state, "neg", neg_mu, (mu,))
-        centered = xd + neg_mu
-        if state is not None:
-            check_op(state, "add", centered, (xd, neg_mu))
-        square = centered * centered
-        if state is not None:
-            check_op(state, "mul", square, (centered, centered))
-        var = square.mean(axis=-1, keepdims=True)
-        if state is not None:
-            check_op(state, "mean", var, (square,))
-        eps = np.asarray(self.eps, dtype=np.float32)
-        shifted = var + eps
-        if state is not None:
-            check_op(state, "add", shifted, (var, eps))
-        inv_std = shifted ** -0.5
-        if state is not None:
-            check_op(state, "pow", inv_std, (shifted,))
-        normed = centered * inv_std
-        if state is not None:
-            check_op(state, "mul", normed, (centered, inv_std))
-        weight, bias = self.weight.data, self.bias.data
-        scaled = normed * weight
-        if state is not None:
-            check_op(state, "mul", scaled, (normed, weight))
-        out = scaled + bias
-        if state is not None:
-            check_op(state, "add", out, (scaled, bias))
-        return Tensor(out)
+        x, weight, bias = layer_inputs(is_grad_enabled(), x, self.weight,
+                                       self.bias)
+        mu = F.mean(x, axis=-1, keepdims=True)
+        centered = F.sub(x, mu)
+        var = F.mean(F.mul(centered, centered), axis=-1, keepdims=True)
+        inv_std = F.pow_(F.add(var, self.eps), -0.5)
+        return as_tensor(F.add(F.mul(F.mul(centered, inv_std), weight), bias))
 
 
 class BatchNorm2d(Module):
@@ -97,19 +56,25 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(num_features, np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
+        grad = is_grad_enabled()
+        x, weight, bias, running_mean, running_var = layer_inputs(
+            grad, x, self.weight, self.bias,
+            self.running_mean.reshape(1, -1, 1, 1),
+            self.running_var.reshape(1, -1, 1, 1))
         if self.training:
-            mu = x.mean(axis=(0, 2, 3), keepdims=True)
-            centered = x - mu
-            var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+            mu = F.mean(x, axis=(0, 2, 3), keepdims=True)
+            centered = F.sub(x, mu)
+            var = F.mean(F.mul(centered, centered), axis=(0, 2, 3),
+                         keepdims=True)
+            mu_data, var_data = (mu.data, var.data) if grad else (mu, var)
             self.running_mean = ((1 - self.momentum) * self.running_mean
-                                 + self.momentum * mu.data.reshape(-1))
+                                 + self.momentum * mu_data.reshape(-1))
             self.running_var = ((1 - self.momentum) * self.running_var
-                                + self.momentum * var.data.reshape(-1))
+                                + self.momentum * var_data.reshape(-1))
         else:
-            mu = Tensor(self.running_mean.reshape(1, -1, 1, 1))
-            centered = x - mu
-            var = Tensor(self.running_var.reshape(1, -1, 1, 1))
-        inv_std = (var + self.eps) ** -0.5
-        scale = self.weight.reshape(1, -1, 1, 1)
-        shift = self.bias.reshape(1, -1, 1, 1)
-        return centered * inv_std * scale + shift
+            centered = F.sub(x, running_mean)
+            var = running_var
+        inv_std = F.pow_(F.add(var, self.eps), -0.5)
+        scale = F.reshape(weight, 1, -1, 1, 1)
+        shift = F.reshape(bias, 1, -1, 1, 1)
+        return as_tensor(F.add(F.mul(F.mul(centered, inv_std), scale), shift))

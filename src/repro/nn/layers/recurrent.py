@@ -15,7 +15,7 @@ import numpy as np
 from .. import functional as F
 from .. import init
 from ..module import Module, ModuleList, Parameter
-from ..tensor import Tensor
+from ..tensor import Tensor, as_tensor, is_grad_enabled, layer_inputs
 
 __all__ = ["LSTM", "LSTMCell"]
 
@@ -39,18 +39,19 @@ class LSTMCell(Module):
 
     def forward(self, x: Tensor,
                 state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
-        h_prev, c_prev = state
-        w_ih = self.quant_weight(self.weight_ih)
-        w_hh = self.quant_weight(self.weight_hh)
-        gates = x @ w_ih.swapaxes(0, 1) + h_prev @ w_hh.swapaxes(0, 1) + self.bias
+        x, h_prev, c_prev, w_ih, w_hh, bias = layer_inputs(
+            is_grad_enabled(), x, *state, self.quant_weight(self.weight_ih),
+            self.quant_weight(self.weight_hh), self.bias)
+        gates = F.add(F.add(F.matmul(x, F.swapaxes(w_ih, 0, 1)),
+                            F.matmul(h_prev, F.swapaxes(w_hh, 0, 1))), bias)
         hs = self.hidden_size
-        i = gates[:, 0 * hs:1 * hs].sigmoid()
-        f = gates[:, 1 * hs:2 * hs].sigmoid()
-        g = gates[:, 2 * hs:3 * hs].tanh()
-        o = gates[:, 3 * hs:4 * hs].sigmoid()
-        c = f * c_prev + i * g
-        h = o * c.tanh()
-        return self.quant_act(h), c
+        i = F.sigmoid(F.getitem(gates, np.s_[:, 0 * hs:1 * hs]))
+        f = F.sigmoid(F.getitem(gates, np.s_[:, 1 * hs:2 * hs]))
+        g = F.tanh(F.getitem(gates, np.s_[:, 2 * hs:3 * hs]))
+        o = F.sigmoid(F.getitem(gates, np.s_[:, 3 * hs:4 * hs]))
+        c = F.add(F.mul(f, c_prev), F.mul(i, g))
+        h = F.mul(o, F.tanh(c))
+        return self.quant_act(as_tensor(h)), as_tensor(c)
 
     def initial_state(self, batch: int) -> Tuple[Tensor, Tensor]:
         zeros = np.zeros((batch, self.hidden_size), dtype=np.float32)

@@ -97,12 +97,15 @@ class WeightFakeQuant:
 
     Every read counts one hit or miss in
     ``repro_weight_quant_cache_total`` (the registry's child locks keep
-    the count exact when worker threads share one model).
+    the count exact when worker threads share one model).  With grad off
+    and no observer scope open, :func:`~repro.nn.functional.fake_quantize`
+    would only wrap the memoized array, so a read returns the memo's
+    Tensor of it instead.
     """
 
     def __init__(self, quantizer: Quantizer) -> None:
         self.quantizer = quantizer
-        # id(weight Tensor) -> [version, backing array, quantized array,
+        # id(weight Tensor) -> [version, backing array, quantized Tensor,
         #                       sanitizer stats or None until first needed]
         self._cache: Dict[int, List[Any]] = {}
 
@@ -116,27 +119,22 @@ class WeightFakeQuant:
             _WQ_HIT.inc()
             return entry
         _WQ_MISS.inc()
-        quantized = np.asarray(self.quantizer.quantize(weight.data),
-                               dtype=np.float32)
+        quantized = Tensor(self.quantizer.quantize(weight.data))
         entry = [version, weight.data, quantized, None]
         if version is not None:
             self._cache[id(weight)] = entry
         return entry
 
-    def array(self, weight: Tensor) -> np.ndarray:
-        """The memoized quantized array alone: what an array kernel
-        (:func:`repro.nn.tensor.array_kernels`) multiplies by when no
-        sanitizer is live on its thread.  It counts as one memo read,
-        like a call."""
-        return self._entry(weight)[2]
-
     def __call__(self, weight: Tensor) -> Tensor:
         entry = self._entry(weight)
-        if _hooks.LIVE and entry[3] is None and _sanitize.is_active():
+        if not _hooks.LIVE:
+            if not _hooks.STATE.grad_enabled:
+                return entry[2]
+        elif entry[3] is None and _sanitize.is_active():
             # Concurrent fills of one shared entry measure the same arrays
             # and store equal stats, so the race is benign.
-            entry[3] = _sanitize.quantize_stats(entry[1], entry[2])
-        return F.fake_quantize(weight, lambda _data, _q=entry[2]: _q,
+            entry[3] = _sanitize.quantize_stats(entry[1], entry[2].data)
+        return F.fake_quantize(weight, lambda _data, _q=entry[2].data: _q,
                                stats=entry[3])
 
     def __repr__(self) -> str:  # pragma: no cover

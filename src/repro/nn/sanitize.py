@@ -53,10 +53,13 @@ count — effectively free.
 Cost under a sanitizer
 ----------------------
 Each op output gets one ``np.isfinite(...).all()`` screen, except the
-view and selection ops an array kernel names (:func:`check_op` counts
-those unscreened: they hold only their input's values).  A quantize
-boundary splits into an O(n) :func:`quantize_stats` pass and an O(1)
-judgment against the active thresholds.  The weight-quant memo
+view and selection ops (:func:`check_op` counts those unscreened: they
+hold only their input's values).  Every op is one primitive
+(:mod:`repro.nn.tensor`) that calls :func:`check_op` itself, whether it
+ran on arrays or on Tensors, so a layer reports the same findings in
+either grad mode.  A quantize boundary splits into an O(n)
+:func:`quantize_stats` pass and an O(1) judgment against the active
+thresholds.  The weight-quant memo
 (:class:`~repro.nn.quantize.WeightFakeQuant`) keeps a weight's stats in
 its memo entry, so a memoized weight is measured once per
 ``Parameter.version`` and every later probed forward replays only the
@@ -266,9 +269,9 @@ def _stats(a: np.ndarray) -> Dict[str, Any]:
 def _op_name(backward: Any) -> str:
     """Derive the op name from its backward closure's qualname.
 
-    Every autodiff op builds a ``backward`` closure inside the op
+    Every primitive builds its ``backward`` closure inside the op
     function, so the enclosing function name *is* the op name
-    (``Tensor.__mul__`` -> ``mul``, ``conv2d`` -> ``conv2d``).
+    (``mul`` -> ``mul``, ``pow_`` -> ``pow``, ``conv2d`` -> ``conv2d``).
     """
     qualname = getattr(backward, "__qualname__", "") or "<op>"
     enclosing = qualname.split(".<locals>", 1)[0].rsplit(".", 1)[-1]
@@ -276,13 +279,12 @@ def _op_name(backward: Any) -> str:
 
 
 # --------------------------------------------------------------------- hooks
-# Called from repro.nn.tensor / repro.nn.functional.  Each caller
-# guards on the `hooks.LIVE` count, so the common (inactive) cost is
-# one global load + truthiness test per op; the hooks then resolve the
-# *calling thread's* state (None when the open scopes are MAC counters,
-# call traces, or a sanitizer on some other thread) and bail if there
-# is none.  The array kernels of repro.nn.layers resolve that state
-# once per layer call and pass it to `check_op` for each op.
+# Called from the primitives of repro.nn.tensor / repro.nn.functional.
+# Each caller guards on the `hooks.LIVE` count, so the common (inactive)
+# cost is one global load + truthiness test per op; the hooks then
+# resolve the *calling thread's* state (None when the open scopes are
+# MAC counters, call traces, or a sanitizer on some other thread) and
+# bail if there is none.
 
 def _forward_finding(state: _State, op: str, stats: Dict[str, Any]) -> None:
     """Report an op output that went non-finite from finite inputs."""
@@ -307,18 +309,14 @@ def check_op(state: _State, op: Any, data: np.ndarray,
     """The forward verdict on one op output: count it, and report NaN/Inf
     that its inputs lacked.
 
-    :func:`on_op` calls it for every Tensor op; the array kernels of
-    :mod:`repro.nn.layers` call it for every op their Tensor composition
-    would have built.  ``op`` is the op name, or the backward closure it
-    is derived from; ``inputs`` are the op's input arrays, or Tensors
-    read through ``.data``, and are read only when ``data`` is not
-    finite.
+    Every primitive calls it once per op.  ``op`` is the op name, or the
+    backward closure it is derived from; ``inputs`` are the op's input
+    arrays (or scalars), read only when ``data`` is not finite.
     """
     state.report.ops_checked += 1
     if op in _VIEW_OPS or _extremes_finite(data):
         return
-    if any(not _extremes_finite(a if isinstance(a, np.ndarray) else a.data)
-           for a in inputs):
+    if any(not _extremes_finite(a) for a in inputs):
         return  # propagation: the originating op already reported
     _forward_finding(state, op if isinstance(op, str) else _op_name(op),
                      _stats(data))
@@ -326,12 +324,13 @@ def check_op(state: _State, op: Any, data: np.ndarray,
 
 def on_op(out: Any, data: np.ndarray, parents: Tuple[Any, ...],
           backward: Any) -> None:
-    """Forward check: did this op manufacture NaN/Inf its inputs lacked?"""
+    """Forward check of a Tensor op built outside the primitives: did it
+    manufacture NaN/Inf its inputs lacked?"""
     state = hooks.STATE.sanitizer
     if state is None:
         return
     out._san_layer = state.current_layer()
-    check_op(state, backward, data, parents)
+    check_op(state, backward, data, (p.data for p in parents))
 
 
 def on_grad(node: Any) -> None:
@@ -409,14 +408,14 @@ def quantize_stats(inp: np.ndarray, out: np.ndarray) -> QuantizeStats:
                          input_max, nonzero, flooded)
 
 
-def on_quantize(x: Any, out: Any,
+def on_quantize(x: np.ndarray, out: np.ndarray,
                 stats: Optional[QuantizeStats] = None) -> None:
-    """Quantize-boundary check for ``out = fake_quantize(x, ...)``.
+    """Quantize-boundary check for the arrays ``out = fake_quantize(x, ...)``.
 
     Judges NaN manufacture, clamp storms and underflow floods, then gives
-    ``out`` the op-output verdict :func:`on_op` gives every other op.
-    ``stats`` are :func:`quantize_stats` of ``(x.data, out.data)`` when
-    the caller already holds them; otherwise they are measured here.
+    ``out`` the op-output verdict :func:`check_op` gives every other op.
+    ``stats`` are :func:`quantize_stats` of ``(x, out)`` when the caller
+    already holds them; otherwise they are measured here.
     Either way the findings, their order and ``ops_checked`` are the
     same.
     """
@@ -424,7 +423,7 @@ def on_quantize(x: Any, out: Any,
     if state is None:
         return
     if stats is None:
-        stats = quantize_stats(x.data, out.data)
+        stats = quantize_stats(x, out)
     layer = state.current_layer()
     state.report.ops_checked += 1
     if not stats.out_finite:
@@ -453,7 +452,6 @@ def on_quantize(x: Any, out: Any,
                     "flooded_fraction": stats.flooded,
                     "nonzero_inputs": stats.nonzero,
                 })
-    out._san_layer = layer
     state.report.ops_checked += 1
     if not stats.out_finite and stats.in_finite:
         _forward_finding(state, "fake_quantize", dict(stats.out_stats))

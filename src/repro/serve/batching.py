@@ -31,8 +31,8 @@ from ..nn import no_grad
 from ..nn.decoding import assemble_source_batch, strip_hypotheses
 from .pool import PooledModel
 
-__all__ = ["KINDS", "Request", "bucket_key", "run_microbatch",
-           "serial_reference"]
+__all__ = ["KINDS", "Request", "bucket_key", "check_request",
+           "run_microbatch", "serial_reference"]
 
 #: The request kinds the engine serves, mapped to model families.
 KINDS = {"translate": "transformer", "transcribe": "seq2seq",
@@ -95,6 +95,30 @@ def bucket_key(request: Request, length_bucket: int) -> Hashable:
     if request.kind == "transcribe":
         return ("transcribe", request.payload.shape[0], options)
     return ("classify", request.payload.shape, options)
+
+
+def check_request(model: Any, request: Request) -> None:
+    """Raise ``ValueError`` if the served ``model`` cannot take ``request``
+    (:class:`Request` checks only what needs no model): a token outside
+    the vocabulary (NumPy would wrap a negative one), a source or decode
+    cap past the Transformer's positional table, frames of another width
+    or an image with other channels.  The engine fails such a request
+    alone, before it could fail its whole micro-batch."""
+    cfg = model.config
+    if request.kind == "translate":
+        ids = request.payload
+        if min(ids) < 0 or max(ids) >= cfg.src_vocab:
+            raise ValueError(f"tokens must lie in [0, {cfg.src_vocab})")
+        if len(ids) + 1 > cfg.max_len:   # the source ends with EOS
+            raise ValueError(f"source exceeds {cfg.max_len - 1} tokens")
+        if request.max_len is not None and request.max_len > cfg.max_len:
+            raise ValueError(f"max_len {request.max_len} exceeds "
+                             f"{cfg.max_len}")
+    elif request.kind == "transcribe":
+        if request.payload.shape[1] != cfg.input_dim:
+            raise ValueError(f"frames must be {cfg.input_dim} wide")
+    elif request.payload.shape[0] != cfg.in_channels:
+        raise ValueError(f"image must have {cfg.in_channels} channels")
 
 
 def _decode(model, inputs: np.ndarray, max_len: Optional[int],

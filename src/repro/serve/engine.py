@@ -42,7 +42,7 @@ from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
 from .. import obs
 from ..nn import Sanitizer, deterministic_matmul
 from ..obs import clock
-from .batching import Request, bucket_key, run_microbatch
+from .batching import Request, bucket_key, check_request, run_microbatch
 from .pool import ModelPool
 from .resilient import PROBE_KINDS, CircuitBreaker, ResilienceConfig
 from .stats import ServerStats
@@ -408,6 +408,9 @@ class InferenceServer:
             t_batch = clock.now()
             try:
                 entry = self.pool.get(pends[0].request.model_name)
+                pends = self._admit(entry, pends)
+                if not pends:
+                    continue
                 results = self._run_batch(entry, [p.request for p in pends])
             except BaseException as error:  # resolve, don't kill the worker
                 _count_swallowed("worker.batch", error)
@@ -418,6 +421,20 @@ class InferenceServer:
                               trace_id=pends[0].trace_id, size=len(pends))
             for pending, result in zip(pends, results):
                 self._resolve(pending, result=result)
+
+    def _admit(self, entry: Any, pends: List[_Pending]) -> List[_Pending]:
+        """Fail each request ``check_request`` rejects on its own future;
+        return the rest."""
+        live = []
+        for pending in pends:
+            try:
+                check_request(entry.model, pending.request)
+            except ValueError as error:
+                _count_swallowed("worker.request", error)
+                self._resolve(pending, error=error)
+            else:
+                live.append(pending)
+        return live
 
     def _run_batch(self, entry: Any, requests: List[Request]) -> List[Any]:
         if self.deterministic:
@@ -483,7 +500,7 @@ class InferenceServer:
             return
         scrubber = entry.scrubber
         attempt = 0
-        live = pends
+        live = self._admit(entry, pends)
         while True:
             live = self._drop_expired(live)
             if not live:
