@@ -2,18 +2,17 @@
 
 :func:`decode_cases` is the one definition of the timed calls: the
 pytest-benchmark tests below time them path by path, and
-``tools/bench_report.py --suite decode`` times them in alternating
-cached/naive rounds into ``BENCH_decode.json`` (per-pair speedups).  The
+``tools/bench_report.py --suite decode`` times them in paired
+cached/naive rounds (``benchmarks/ab.py``) into ``BENCH_decode.json``.  The
 speed-gate test at the bottom also runs in CI under
 ``--benchmark-disable`` as a regression tripwire: greedy decode must
 stay at least 2x faster than the naive path.
 """
 
-import time
-
 import numpy as np
 import pytest
 
+from benchmarks import ab
 from repro.nn.models.seq2seq import Seq2Seq, Seq2SeqConfig
 from repro.nn.models.transformer import Transformer, TransformerConfig
 
@@ -77,24 +76,17 @@ def test_decode(benchmark, cases, name, path):
     assert out.shape[0] == rows
 
 
-def _best_of(fn, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
 def test_greedy_speedup_gate(transformer_setup):
     """CI tripwire (runs under --benchmark-disable): the cached greedy
     path must be >=2x the naive path and emit the same token ids."""
     model, src = transformer_setup
-    t_naive, ids_naive = _best_of(
-        lambda: model.greedy_decode(src, use_cache=False), repeats=2)
-    t_cached, ids_cached = _best_of(
-        lambda: model.greedy_decode(src, use_cache=True), repeats=3)
-    np.testing.assert_array_equal(ids_naive, ids_cached)
-    speedup = t_naive / t_cached
-    assert speedup >= 2.0, f"greedy KV-cache speedup regressed: {speedup:.2f}x"
+    ids = {}
+
+    def greedy(use_cache):
+        def run():
+            ids[use_cache] = model.greedy_decode(src, use_cache=use_cache)
+        return ab.timed(run)
+
+    speedup = ab.compare(greedy(True), greedy(False), at_least=2.0)
+    np.testing.assert_array_equal(ids[False], ids[True])
+    assert speedup.passed, f"greedy KV-cache speedup {speedup}"

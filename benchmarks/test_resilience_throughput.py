@@ -12,6 +12,7 @@ install byte-identical faulty tensors (per-trial checksums).
 
 import pytest
 
+from benchmarks import ab
 from repro.experiments.common import trained_model
 from repro.resilience.campaign import measure_injection_throughput
 
@@ -47,20 +48,32 @@ def test_trial_loop(benchmark, path, fmt, field):
             result["trials_per_sec"], 1)
 
 
+def trial_loop_speedup(min_speedup, **config):
+    """Engine (A) against naive (B) trial-loop wall clock, with per-trial
+    fault checksums, gated at ``min_speedup``; returns the comparison
+    and the last engine and naive records."""
+    runs = {}
+
+    def loop(engine):
+        def sample():
+            runs[engine] = measure_injection_throughput(
+                engine=engine, checksums=True, **config)
+            return runs[engine]["wall_time_s"]
+        return sample
+
+    comparison = ab.compare(loop(True), loop(False), at_least=min_speedup)
+    return comparison, runs[True], runs[False]
+
+
 def test_trial_loop_speedup_gate():
     """CI tripwire (runs under --benchmark-disable): the engine trial
     loop must be >=3x the naive loop and install identical faults."""
-    naive = measure_injection_throughput(profile="tiny", trials=GATE_TRIALS,
-                                         seed=0, engine=False,
-                                         checksums=True)
-    engine = measure_injection_throughput(profile="tiny", trials=GATE_TRIALS,
-                                          seed=0, engine=True,
-                                          checksums=True)
+    speedup, engine, naive = trial_loop_speedup(
+        MIN_SPEEDUP, profile="tiny", trials=GATE_TRIALS, seed=0)
     assert engine["checksums"] == naive["checksums"]
     assert engine["flips_total"] == naive["flips_total"]
     assert engine["findings_total"] == naive["findings_total"]
-    speedup = engine["trials_per_sec"] / naive["trials_per_sec"]
-    assert speedup >= MIN_SPEEDUP, (
-        f"trial-engine speedup regressed: {speedup:.2f}x "
-        f"(engine {engine['trials_per_sec']:.0f}/s vs "
-        f"naive {naive['trials_per_sec']:.0f}/s)")
+    assert speedup.passed, (
+        f"trial-engine speedup {speedup} (engine "
+        f"{engine['trials_per_sec']:.0f}/s vs naive "
+        f"{naive['trials_per_sec']:.0f}/s in the last round)")

@@ -120,8 +120,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from .serve.bench import (check_equivalence, measure_probe_overhead,
-                              measure_scrub_overhead, run_fault_recovery,
+    from .serve.bench import (check_equivalence, run_fault_recovery,
                               run_serve_benchmark)
 
     quant = (args.quant, args.bits) if args.quant else None
@@ -174,17 +173,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
               f"degradation {res['degradation']})")
         if not recovery["token_identical"] or recovery["failed_requests"]:
             return 1
-    if args.scrub_overhead:
-        overhead = measure_scrub_overhead(model=args.model, seed=args.seed)
-        print(f"  scrub    : p50 {overhead['baseline_p50_ms']:.1f}ms -> "
-              f"{overhead['scrubbed_p50_ms']:.1f}ms with scrubbing "
-              f"({overhead['p50_overhead']:+.1%}, "
-              f"{overhead['scrub_counters']['scrubs']} scrubs)")
-        for model, probe in measure_probe_overhead(seed=args.seed).items():
-            print(f"  probe    : {model:11s} batch-1 "
-                  f"{probe['plain_ms']:.1f}ms -> {probe['probed_ms']:.1f}ms "
-                  f"under the Sanitizer ({probe['ratio']:.2f}x, "
-                  f"{probe['ops_checked']} ops checked)")
     return 0
 
 
@@ -318,10 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="closed-loop self-healing check: inject an "
                         "exponent-bit weight flip mid-serve and verify "
                         "detect/restore/retry with token-identical output")
-    p.add_argument("--scrub-overhead", action="store_true",
-                   help="measure the cost of self-healing: p50 latency "
-                        "with golden-copy weight scrubbing, and batch-1 "
-                        "latency under the Sanitizer probe per family")
     p.set_defaults(func=_cmd_serve_bench)
 
     p = sub.add_parser("obs",

@@ -26,7 +26,7 @@ request throughput:
   circuit-breaker load shedding (:class:`ServerDegraded`).
 * ``bench`` — the batched-vs-serial throughput harness behind
   ``repro serve-bench`` and ``BENCH_serve.json``, plus the closed-loop
-  fault-recovery and scrub-overhead probes of the resilience block.
+  fault-recovery check of the resilience block.
 """
 
 from .batching import KINDS, Request, bucket_key, run_microbatch, \

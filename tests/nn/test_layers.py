@@ -5,7 +5,7 @@ import pytest
 
 from repro.nn import (LSTM, AdditiveAttention, BatchNorm2d, Conv2d, Dropout,
                       Embedding, LSTMCell, LayerNorm, Linear,
-                      MultiHeadAttention, Sequential, ReLU, Tensor)
+                      MultiHeadAttention, Sequential, ReLU, Tensor, no_grad)
 
 from .gradcheck import check_gradients
 
@@ -75,6 +75,28 @@ class TestNorms:
         layer.train()
         out_train = layer(x)
         np.testing.assert_allclose(out_eval.data, out_train.data, atol=0.05)
+
+    @pytest.mark.parametrize("grad", [True, False])
+    @pytest.mark.parametrize("make, shape", [
+        (lambda: LayerNorm(6), (3, 6)), (lambda: BatchNorm2d(3), (4, 3, 4, 4)),
+        (lambda: BatchNorm2d(3).eval(), (4, 3, 4, 4))])
+    def test_float32_eps_matches_python_float(self, make, shape, grad):
+        x = data(*shape, scale=1e-3)    # variance near eps, so eps counts
+        runs = []
+        for layer in (make(), make()):
+            if runs:
+                layer.eps = 1e-5        # the Python float it replaced
+            t = Tensor(x.data, requires_grad=True)
+            if grad:
+                out = layer(t)
+                out.sum().backward()
+                runs.append([out.data, t.grad, layer.weight.grad,
+                             layer.bias.grad])
+            else:
+                with no_grad():
+                    runs.append([layer(t).data])
+        for new, old in zip(*runs):
+            assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
 
     def test_batchnorm_eval_no_stat_update(self):
         layer = BatchNorm2d(2).eval()

@@ -7,7 +7,6 @@ zero findings and sub-2x overhead.
 """
 
 import os
-import statistics
 import subprocess
 import sys
 import time
@@ -15,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from benchmarks import ab
 from repro import nn
 from repro.nn import functional as F
 from repro.nn import sanitize
@@ -240,26 +240,22 @@ class TestOverhead:
         model.eval()
         x = nn.Tensor(fresh_rng(5).normal(size=(128, 256)))
 
-        def timed(reps=20):
-            # this thread's CPU time: a host stall or a descheduling
-            # does not advance it (BLAS worker threads are left out,
-            # which only makes the ratio stricter)
-            t0 = time.thread_time()
+        def forwards():
             with nn.no_grad():
-                for _ in range(reps):
+                for _ in range(20):
                     model(x)
-            return time.thread_time() - t0
 
-        timed(5)  # warm caches (codebooks, import side effects)
-        # alternate the two sides round by round, so load from the rest
-        # of the host lands on both alike, and compare the medians
-        plain, instrumented = [], []
-        for _ in range(7):
-            plain.append(timed())
+        def probed():
             with nn.Sanitizer(model):
-                instrumented.append(timed())
-        ratio = statistics.median(instrumented) / statistics.median(plain)
-        assert ratio < 2.0, f"sanitizer overhead {ratio:.2f}x"
+                forwards()
+
+        # this thread's CPU time: a host stall or a descheduling does
+        # not advance it (BLAS worker threads are left out, which only
+        # makes the ratio stricter)
+        overhead = ab.compare(ab.timed(forwards, clock=time.thread_time),
+                              ab.timed(probed, clock=time.thread_time),
+                              at_most=2.0)
+        assert overhead.passed, f"sanitizer overhead {overhead}"
 
     def test_hooks_are_noops_when_inactive(self):
         # direct calls with no state must bail without touching anything

@@ -1,23 +1,23 @@
 #!/usr/bin/env python
 """Regenerate the committed benchmark records (BENCH_*.json).
 
-Two suites:
+Four suites:
 
 * ``--suite formats`` (default) — quantization/codec throughput from
   ``benchmarks/test_format_kernels.py`` -> ``BENCH_formats.json``.
   ``--with-analytic`` also times the analytic reference path
   (``REPRO_NO_CODEBOOK=1``) and records per-benchmark speedup ratios.
 * ``--suite decode`` — KV-cached vs naive autoregressive decoding, the
-  calls of ``benchmarks/test_decode_throughput.py`` timed in
-  alternating cached/naive rounds in one process -> ``BENCH_decode.json``,
-  with a ``speedup`` (ratio of medians) per cached/naive pair.
+  calls of ``benchmarks/test_decode_throughput.py`` timed in paired
+  cached/naive rounds in one process -> ``BENCH_decode.json``, with a
+  ``speedup`` (median per-round ratio and its interval) per case.
 * ``--suite resilience`` — the seeded bit-flip fault-injection campaign
   (``repro.resilience``, fast profile, transformer, all five formats at
   8 bits) -> ``BENCH_resilience.json``.  The record has three blocks:
   ``campaign`` (the deterministic grid, timing stripped — byte-identical
   across machines and warm re-runs), ``throughput`` (trial-loop
   trials/sec for the naive reference loop vs the cached-encode engine,
-  the median wall clock of whole campaign calls over alternating
+  the median wall clock of whole campaign calls over paired
   naive/engine rounds, and the equivalence checks: per-trial fault
   checksums and campaign counters must match between the two paths),
   and ``machine``.  The engine must clear a >= 3x trial-loop
@@ -36,7 +36,12 @@ Two suites:
   the validating parser.  Gates: >= 3x throughput speedup,
   every family token-identical, zero failed requests + token-identical
   recovery under injection, scrub p50 overhead below 5%, obs p50
-  overhead below 2%, and the Prometheus exposition must parse.
+  overhead below 2%, and the Prometheus exposition must parse.  The
+  record is written whether or not they pass, so it shows each
+  verdict; a failed gate then makes the run exit non-zero.
+
+Every timed gate and timing record runs on ``benchmarks/ab.py`` and
+stores its estimate, interval, round count and verdict.
 
 Run:  PYTHONPATH=src python tools/bench_report.py [--suite decode]
 
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import pathlib
 import platform
@@ -57,7 +63,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SUITES = {
@@ -88,11 +93,11 @@ THROUGHPUT_CONFIG = {
 #: Minimum trial-loop speedup (engine vs naive) the record must show.
 MIN_TRIAL_LOOP_SPEEDUP = 3.0
 
-#: Alternating naive/engine rounds of the whole timed campaign call.
+#: Paired engine/naive rounds of the whole timed campaign call.
 CAMPAIGN_WALL_ROUNDS = 3
 
-#: Untimed warm-up rounds, then timed alternating cached/naive rounds,
-#: per decode benchmark.
+#: Untimed warm-up rounds, then timed paired cached/naive rounds, per
+#: decode benchmark.
 DECODE_WARMUP_ROUNDS = 2
 DECODE_ROUNDS = 15
 
@@ -102,7 +107,7 @@ DECODE_ROUNDS = 15
 SERVE_CONFIG = {
     "model": "transformer", "concurrency": 16, "num_requests": 64,
     "max_batch": 16, "max_wait_ms": 5.0, "workers": 1, "seed": 0,
-    "max_len": 32, "repeats": 3,
+    "max_len": 32,
 }
 
 #: Minimum batched-vs-serial request-throughput speedup for the record.
@@ -193,34 +198,38 @@ def _counter_view(result: dict) -> dict:
 
 def _run_resilience() -> dict:
     """Campaign + throughput record; fails below the speedup gate."""
-    sys.path.insert(0, str(REPO / "src"))
+    sys.path[:0] = [str(REPO / "src"), str(REPO)]
+    from benchmarks import ab
+    from benchmarks.test_resilience_throughput import trial_loop_speedup
     from repro.resilience import campaign
 
     # Trial-loop throughput, with per-trial fault checksums: the digest
     # streams prove both loops install identical faulty tensors.
-    naive_tp = campaign.measure_injection_throughput(
-        engine=False, checksums=True, **THROUGHPUT_CONFIG)
-    engine_tp = campaign.measure_injection_throughput(
-        engine=True, checksums=True, **THROUGHPUT_CONFIG)
+    speedup, engine_tp, naive_tp = trial_loop_speedup(
+        MIN_TRIAL_LOOP_SPEEDUP, **THROUGHPUT_CONFIG)
     checksums_identical = naive_tp.pop("checksums") == engine_tp.pop(
         "checksums")
-    speedup = engine_tp["trials_per_sec"] / naive_tp["trials_per_sec"]
+    # each loop's timing is its median over the rounds, not its last run
+    for record, walls in ((engine_tp, speedup.a), (naive_tp, speedup.b)):
+        record["wall_time_s"] = statistics.median(walls)
+        record["trials_per_sec"] = record["trials"] / record["wall_time_s"]
 
-    # Whole campaign calls both ways, alternating round by round so host
-    # load lands on both alike; each side keeps its median call.  The
-    # cell cache is off, or later rounds would time cache reads.  The
-    # committed grid is the engine one.
+    # Whole campaign calls both ways, in paired rounds.  The cell cache
+    # is off, or later rounds would time cache reads.  The committed
+    # grid is the engine one.
     os.environ["REPRO_CELL_CACHE"] = "0"
-    walls = {False: [], True: []}
     grids = {}
-    for _ in range(CAMPAIGN_WALL_ROUNDS):
-        for engine in (False, True):
-            start = time.perf_counter()
+
+    def call(engine):
+        def run():
             grids[engine] = campaign.run(engine=engine, **RESILIENCE_CONFIG)
-            walls[engine].append(time.perf_counter() - start)
+        return ab.timed(run)
+
+    wall = ab.compare(call(True), call(False), warmup=0,
+                      rounds=CAMPAIGN_WALL_ROUNDS)
     naive_grid, engine_grid = grids[False], grids[True]
-    naive_s = statistics.median(walls[False])
-    engine_s = statistics.median(walls[True])
+    naive_s, engine_s = (statistics.median(wall.b),
+                         statistics.median(wall.a))
     campaign_trials = engine_grid["timing"]["cells"] * engine_grid["trials"]
     counters_identical = (_counter_view(naive_grid)
                           == _counter_view(engine_grid))
@@ -229,9 +238,8 @@ def _run_resilience() -> dict:
         raise SystemExit("naive/engine fault checksums diverge")
     if not counters_identical:
         raise SystemExit("naive/engine campaign counters diverge")
-    if speedup < MIN_TRIAL_LOOP_SPEEDUP:
-        raise SystemExit(f"trial-loop speedup {speedup:.2f}x below the "
-                         f"{MIN_TRIAL_LOOP_SPEEDUP}x gate")
+    if not speedup.passed:
+        raise SystemExit(f"trial-loop speedup {speedup}")
 
     return {
         "campaign": _strip_timing(engine_grid),
@@ -239,17 +247,16 @@ def _run_resilience() -> dict:
             "trial_loop": {
                 "naive": naive_tp,
                 "engine": engine_tp,
-                "speedup": round(speedup, 2),
+                "speedup": speedup.record(),
                 "checksums_identical": checksums_identical,
             },
             "campaign_wall": {
-                "rounds": CAMPAIGN_WALL_ROUNDS,
                 "naive_s": round(naive_s, 3),
                 "engine_s": round(engine_s, 3),
                 "naive_trials_per_sec": round(campaign_trials / naive_s, 2),
                 "engine_trials_per_sec": round(campaign_trials / engine_s,
                                                2),
-                "speedup": round(naive_s / engine_s, 2),
+                "speedup": wall.record(),
             },
             "counters_identical": counters_identical,
         },
@@ -258,15 +265,16 @@ def _run_resilience() -> dict:
 
 
 def _run_decode() -> dict:
-    """Cached vs naive decode, timed in alternating rounds.
+    """Cached vs naive decode, timed in paired rounds.
 
-    Every round times one cached and one naive call of the same
+    Every round times one cached (A) and one naive (B) call of the same
     benchmark back to back, so host load lands on both paths alike
     (pytest-benchmark times all rounds of one path before the other).
-    Each path keeps its median and mean call; the ``speedup`` is the
-    ratio of the medians.
+    Each path keeps its median call; the ``speedup`` is the median of
+    the per-round naive/cached ratios, with its interval.
     """
     sys.path[:0] = [str(REPO / "src"), str(REPO)]
+    from benchmarks import ab
     from benchmarks.test_decode_throughput import (decode_cases,
                                                    seq2seq_model,
                                                    transformer_model)
@@ -274,100 +282,98 @@ def _run_decode() -> dict:
     cases = decode_cases(transformer_model(), seq2seq_model())
     benchmarks = {}
     for name, (call, _rows) in cases.items():
-        for _ in range(DECODE_WARMUP_ROUNDS):
-            call(True)
-            call(False)
-        times = {True: [], False: []}
-        for _ in range(DECODE_ROUNDS):
-            for use_cache in (True, False):
-                start = time.perf_counter()
-                call(use_cache)
-                times[use_cache].append(time.perf_counter() - start)
-        for use_cache, label in ((True, "cached"), (False, "naive")):
-            benchmarks[f"{name}[{label}]"] = {
-                "median_ms": round(statistics.median(times[use_cache])
-                                   * 1e3, 4),
-                "mean_ms": round(statistics.mean(times[use_cache]) * 1e3,
-                                 4),
-                "rounds": DECODE_ROUNDS,
-            }
-    _pair_cached_naive(benchmarks)
+        speedup = ab.compare(ab.timed(lambda: call(True)),
+                             ab.timed(lambda: call(False)),
+                             warmup=DECODE_WARMUP_ROUNDS,
+                             rounds=DECODE_ROUNDS)
+        benchmarks[name] = {
+            "cached_median_ms": round(statistics.median(speedup.a) * 1e3,
+                                      4),
+            "naive_median_ms": round(statistics.median(speedup.b) * 1e3, 4),
+            "speedup": speedup.record(),
+        }
     return {"machine": machine_info(),
             "benchmarks": dict(sorted(benchmarks.items()))}
 
 
-def _run_serve() -> dict:
-    """Serving throughput + token-identity + resilience record.
+def _run_serve() -> tuple:
+    """Serving throughput + token-identity + resilience record, and the
+    gates it failed.
 
-    Three gates: batched-vs-serial speedup, per-family token identity,
-    and the self-healing loop — a single exponent-bit weight fault
-    injected mid-serve must be detected, restored, and retried with
-    zero failed requests and token-identical output, and scrubbing must
-    cost less than :data:`MAX_SCRUB_P50_OVERHEAD` of p50 latency.
+    Gates: per-family token identity; the self-healing loop -- a single
+    exponent-bit weight fault injected mid-serve must be detected,
+    restored, and retried with zero failed requests and token-identical
+    output; on paired A/B rounds (``benchmarks/ab.py``), the p50 prices
+    of scrubbing and of the metrics spine and the batched-vs-serial
+    speedup, whose rounds give the ``throughput`` block; and the
+    Prometheus exposition must parse.  The record's registry dump is
+    taken before the A/B gates, whose servers would grow it with their
+    round counts.
     """
-    sys.path.insert(0, str(REPO / "src"))
+    sys.path[:0] = [str(REPO / "src"), str(REPO)]
+    from benchmarks.test_serve_throughput import (measure_obs_overhead,
+                                                  measure_scrub_overhead,
+                                                  measure_serve_speedup)
     from repro import obs
     from repro.obs import parse_prometheus
-    from repro.serve.bench import (check_equivalence, measure_obs_overhead,
-                                   measure_scrub_overhead,
-                                   run_fault_recovery, run_serve_benchmark)
+    from repro.serve.bench import check_equivalence, run_fault_recovery
 
-    record = run_serve_benchmark(**SERVE_CONFIG)
     identity = check_equivalence(seed=SERVE_CONFIG["seed"])
     recovery = run_fault_recovery(seed=SERVE_CONFIG["seed"])
-    overhead = measure_scrub_overhead(seed=SERVE_CONFIG["seed"])
-    obs_overhead = measure_obs_overhead(seed=SERVE_CONFIG["seed"])
+    registry = obs.snapshot()
+    scrub, scrub_record = measure_scrub_overhead(MAX_SCRUB_P50_OVERHEAD)
+    obs_overhead, obs_record = measure_obs_overhead(MAX_OBS_P50_OVERHEAD)
+    speedup, out = measure_serve_speedup(MIN_SERVE_SPEEDUP, **SERVE_CONFIG)
 
-    if record["speedup"] < MIN_SERVE_SPEEDUP:
-        raise SystemExit(f"batched-vs-serial speedup {record['speedup']}x "
-                         f"below the {MIN_SERVE_SPEEDUP}x gate")
-    failures = [name for name, same in identity.items() if not same]
-    if failures:
-        raise SystemExit("batched decode not token-identical to serial "
-                         f"for: {failures}")
+    failures = [f"batched decode not token-identical to serial for {name}"
+                for name, same in identity.items() if not same]
     if recovery["failed_requests"] or not recovery["token_identical"]:
-        raise SystemExit(
+        failures.append(
             "self-healing gate failed under single-fault injection: "
             f"failed={recovery['failed_requests']} "
             f"token_identical={recovery['token_identical']}")
     if not (recovery["detected"] and recovery["restored"]
             and recovery["retried"]):
-        raise SystemExit("self-healing gate: fault was not "
-                         f"detected/restored/retried ({recovery})")
-    if overhead["p50_overhead"] > MAX_SCRUB_P50_OVERHEAD:
-        raise SystemExit(
-            f"scrub p50 overhead {overhead['p50_overhead']:.1%} above "
-            f"the {MAX_SCRUB_P50_OVERHEAD:.0%} gate")
-    if obs_overhead["p50_overhead"] > MAX_OBS_P50_OVERHEAD:
-        raise SystemExit(
-            f"obs p50 overhead {obs_overhead['p50_overhead']:.1%} above "
-            f"the {MAX_OBS_P50_OVERHEAD:.0%} gate")
+        failures.append("self-healing gate: fault was not "
+                        f"detected/restored/retried ({recovery})")
+    failures += [f"{what} {comparison}" for what, comparison in (
+        ("scrub p50 overhead", scrub), ("obs p50 overhead", obs_overhead),
+        ("batched-vs-serial speedup", speedup)) if not comparison.passed]
 
-    # The exposition gate: render the registry the bench run populated
-    # and push it through the validating parser — the committed record
-    # must carry a scrape a real Prometheus server would accept.
-    exposition = obs.render_prometheus()
-    families = parse_prometheus(exposition)
+    # The exposition gate: render the final registry and push it through
+    # the validating parser -- the committed record must carry a scrape a
+    # real Prometheus server would accept.
+    families = parse_prometheus(obs.render_prometheus())
     missing = [name for name in REQUIRED_OBS_FAMILIES
                if name not in families]
     if missing:
-        raise SystemExit(f"obs exposition missing families: {missing}")
+        failures.append(f"obs exposition missing families: {missing}")
 
+    requests = SERVE_CONFIG["num_requests"]
+    throughput = {
+        "config": SERVE_CONFIG, "speedup": speedup.record(),
+        "blas_token_match_rate": round(sum(
+            map(operator.eq, out["serial"], out["batched"])) / requests, 4),
+        "server_stats": out["stats"], "weight_cache": out["memo"]}
+    for path, walls in (("batched", speedup.a), ("serial", speedup.b)):
+        wall_s = statistics.median(walls)
+        throughput[path] = {"wall_s": round(wall_s, 4),
+                            "requests_per_sec": round(requests / wall_s, 2)}
     return {
-        "throughput": record,
+        "throughput": throughput,
         "token_identity": identity,
         "resilience": {
             "fault_recovery": recovery,
-            "scrub_overhead": overhead,
+            "scrub_overhead": scrub_record,
         },
         "observability": {
-            "obs_overhead": obs_overhead,
+            "obs_overhead": obs_record,
             "prometheus_families": len(families),
             "prometheus_parses": True,
-            "registry": obs.snapshot(),
+            "registry": registry,
         },
         "machine": machine_info(),
-    }
+    }, failures
 
 
 def _run_benchmarks(bench_file: str, extra_env: dict) -> dict:
@@ -401,19 +407,6 @@ def _distill(report: dict) -> dict:
     return dict(sorted(out.items()))
 
 
-def _pair_cached_naive(benchmarks: dict) -> None:
-    """Fold ``name[naive]`` records into ``name[cached]`` as speedups."""
-    for name in list(benchmarks):
-        if not name.endswith("[cached]"):
-            continue
-        naive = name[: -len("[cached]")] + "[naive]"
-        if naive in benchmarks:
-            record = benchmarks[name]
-            record["naive_median_ms"] = benchmarks[naive]["median_ms"]
-            record["speedup"] = round(
-                benchmarks[naive]["median_ms"] / record["median_ms"], 2)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--suite", choices=sorted(SUITES),
@@ -427,21 +420,24 @@ def main() -> int:
     bench_file, default_output = SUITES[args.suite]
     output = args.output or default_output
     if args.suite == "serve":
-        payload = _run_serve()
+        payload, failures = _run_serve()
         output.write_text(json.dumps(payload, indent=2, sort_keys=True)
                           + "\n")
         record = payload["throughput"]
-        print(f"wrote {output} (speedup {record['speedup']}x, "
+        print(f"wrote {output} (speedup {record['speedup']['estimate']}x, "
               f"{record['batched']['requests_per_sec']} req/s batched vs "
               f"{record['serial']['requests_per_sec']} serial, identity "
               f"{payload['token_identity']})")
+        if failures:
+            raise SystemExit("serve gates failed:\n  "
+                             + "\n  ".join(failures))
         return 0
     if args.suite == "decode":
         payload = _run_decode()
         output.write_text(json.dumps(payload, indent=2, sort_keys=True)
                           + "\n")
-        speedups = {name: record["speedup"] for name, record
-                    in payload["benchmarks"].items() if "speedup" in record}
+        speedups = {name: record["speedup"]["estimate"] for name, record
+                    in payload["benchmarks"].items()}
         print(f"wrote {output} (speedups {speedups})")
         return 0
     if args.suite == "resilience":
@@ -452,7 +448,7 @@ def main() -> int:
         print(f"wrote {output} "
               f"({len(payload['campaign']['models'])} model(s), "
               f"{len(RESILIENCE_CONFIG['formats'])} formats, "
-              f"trial-loop speedup {trial_loop['speedup']}x)")
+              f"trial-loop speedup {trial_loop['speedup']['estimate']}x)")
         return 0
     fast = _distill(_run_benchmarks(bench_file, {}))
     payload = {
