@@ -1,19 +1,16 @@
-"""Serving-throughput benchmarks: micro-batched vs serial request paths.
+"""Serving-throughput gates: micro-batched vs serial request paths.
 
 ``tools/bench_report.py --suite serve`` commits the full acceptance
 workload (16 concurrent clients, 64 requests, >= 3x gate) into
-``BENCH_serve.json``.  This module is the CI-sized companion: the
-speed-gate test at the bottom runs under ``--benchmark-disable`` in the
-``serve-smoke`` job and trips if micro-batching stops clearing 2x over
-the serial reference at reduced concurrency.  It also holds the
-measurements behind both sites' A/B gates (``benchmarks/ab.py``): the
-batched-vs-serial speedup and the prices of scrubbing, of the Sanitizer
-probe and of the metrics spine.
+``BENCH_serve.json``.  This module is the CI-sized companion: its gate
+tests run in CI's serving smoke entry, and the speed gate trips if
+micro-batching stops clearing 2x over the serial reference at reduced
+concurrency.  It also holds the measurements behind both sites' A/B
+gates (``benchmarks/ab.py``): the batched-vs-serial speedup and the
+prices of scrubbing, of the Sanitizer probe and of the metrics spine.
 """
 
 import statistics
-
-import pytest
 
 from benchmarks import ab
 from repro import obs
@@ -185,30 +182,6 @@ def measure_obs_overhead(max_overhead, num_requests=48, max_len=32):
             statistics.median(overhead.b) / iters * 1e6, 3),
         "p50_overhead": overhead.record(digits=6),
     }
-
-
-@pytest.fixture(scope="module")
-def warm_pool():
-    pool = ModelPool()
-    pool.get("transformer")
-    return pool
-
-
-@pytest.fixture(scope="module")
-def workload():
-    return build_requests("transformer", NUM_REQUESTS, seed=0,
-                          max_len=MAX_LEN)
-
-
-def test_serial_reference(benchmark, warm_pool, workload):
-    entry = warm_pool.get("transformer")
-    results = benchmark(serial_reference, entry, workload)
-    assert len(results) == NUM_REQUESTS
-
-
-def test_batched_serving(benchmark, warm_pool, workload):
-    _, results, _ = benchmark(serve, warm_pool, workload, CONCURRENCY)
-    assert len(results) == NUM_REQUESTS
 
 
 def test_serve_speedup_gate():

@@ -1,4 +1,4 @@
-"""Incremental-decoding support: KV caches and shared beam utilities.
+"""Incremental-decoding support: KV caches and the shared beam search.
 
 Autoregressive evaluation is the repo's dominant cost (every BLEU/WER
 cell in Tables 1-3 is produced by greedy or beam decoding), and the
@@ -13,10 +13,13 @@ incremental:
 * :class:`LayerKVCache` / :class:`DecoderKVCache` — one self+cross pair
   per decoder layer, with batched reordering so beam search can prune
   and reorder all live hypotheses in one gather (``reorder``).
-* :func:`pad_hypotheses` — the padding logic shared by
-  ``Transformer.beam_decode`` and ``Seq2Seq.beam_decode`` (with a floor
-  width of 1 so an all-empty-hypothesis batch cannot produce a
-  zero-width column).
+* :func:`beam_search` — the one length-normalized beam search behind
+  ``Transformer.beam_decode`` and ``Seq2Seq.beam_decode``; each model
+  supplies only its step (a KV-cached or stacked-state ``advance`` plus
+  its ``reorder``, or the naive per-candidate reference step).
+* :func:`pad_hypotheses` — the padding logic shared by both
+  ``beam_decode`` methods (with a floor width of 1 so an
+  all-empty-hypothesis batch cannot produce a zero-width column).
 
 Caches hold plain float32 arrays, not autodiff tensors: incremental
 decoding is inference-only and must run under
@@ -27,12 +30,13 @@ docs/inference.md.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["AttentionKVCache", "DecoderKVCache", "LayerKVCache",
-           "assemble_source_batch", "pad_hypotheses", "strip_hypotheses"]
+           "assemble_source_batch", "beam_search", "pad_hypotheses",
+           "strip_hypotheses"]
 
 
 class AttentionKVCache:
@@ -116,6 +120,49 @@ class DecoderKVCache:
         indices = np.asarray(indices, dtype=np.int64)
         for layer in self.layers:
             layer.reorder(indices)
+
+
+def beam_search(advance: Callable[[List[List[int]]], np.ndarray],
+                reorder: Callable[[List[int]], None], start: Sequence[int],
+                steps: int, beam_size: int, alpha: float,
+                eos_id: int) -> List[int]:
+    """Length-normalized beam search for one source sequence.
+
+    ``advance(prefixes)`` returns one row of next-token logits per live
+    hypothesis (token lists in beam order, ``start`` included).  Each
+    row is log-softmaxed and each live beam proposes its ``beam_size``
+    best tokens; a finished beam is carried over unchanged.  A stable
+    sort ranks candidates by the GNMT score ``logp / ((5 + len) / 6) **
+    alpha`` (``len`` counts ``start``), so ties keep expansion order.
+    Unless all survivors have finished, ``reorder(parents)`` then gets
+    the ``advance`` row each surviving live beam extends, to realign the
+    step's state (a KV cache, LSTM rows).  After ``steps`` expansions or
+    once every beam has finished, returns the best hypothesis without
+    ``start``, cut at its first EOS.
+    """
+    beams = [(list(start), 0.0, False, 0)]  # (tokens, logp, done, parent)
+    for _ in range(steps):
+        logits = advance([tokens for tokens, _, done, _ in beams if not done])
+        candidates, row = [], 0
+        for tokens, logp, done, _ in beams:
+            if done:
+                candidates.append((tokens, logp, True, -1))
+                continue
+            shifted = logits[row] - logits[row].max()
+            logprobs = shifted - np.log(np.exp(shifted).sum())
+            for token in np.argsort(-logprobs)[:beam_size]:
+                candidates.append((tokens + [int(token)],
+                                   logp + float(logprobs[token]),
+                                   token == eos_id, row))
+            row += 1
+        candidates.sort(key=lambda c: c[1] / ((5.0 + len(c[0])) / 6.0)
+                        ** alpha, reverse=True)
+        beams = candidates[:beam_size]
+        if all(done for _, _, done, _ in beams):
+            break
+        reorder([parent for _, _, done, parent in beams if not done])
+    best = beams[0][0][len(start):]
+    return best[:best.index(eos_id)] if eos_id in best else best
 
 
 def pad_hypotheses(hypotheses: Sequence[Sequence[int]],

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .. import functional as F
-from ..decoding import pad_hypotheses
+from ..decoding import beam_search, pad_hypotheses
 from ..layers import (AdditiveAttention, Dropout, Embedding, LSTM, LSTMCell,
                       Linear)
 from ..module import Module
@@ -114,124 +114,60 @@ class Seq2Seq(Module):
         ``use_cache=True`` (the default) advances all live hypotheses in
         one stacked recurrent step with a one-shot attention-key
         projection; ``use_cache=False`` is the naive one-candidate-at-a-
-        time reference.  Both select the same candidates.
+        time reference.  Both run :func:`~repro.nn.decoding.beam_search`.
         """
         if beam_size < 1:
             raise ValueError(f"beam_size must be >= 1, got {beam_size}")
         cfg = self.config
         max_len = max_len or cfg.max_len
-        step = self._beam_one_cached if use_cache else self._beam_one
         results = []
         with no_grad():
             for i in range(frames.shape[0]):
-                results.append(step(frames[i:i + 1], beam_size,
-                                    max_len, length_penalty))
+                advance, reorder = self._beam_step(frames[i:i + 1], use_cache)
+                results.append(beam_search(advance, reorder, [], max_len,
+                                           beam_size, length_penalty,
+                                           cfg.eos_id))
         return pad_hypotheses(results, cfg.pad_id)
 
-    def _beam_one(self, frames: np.ndarray, beam_size: int, max_len: int,
-                  alpha: float) -> list:
-        cfg = self.config
-        memory = self.encode(frames)
-        init = self.decoder_cell.initial_state(1)
-        beams = [([], 0.0, init, False)]  # (tokens, logp, state, finished)
-        for step in range(max_len):
-            candidates = []
-            for tokens, logp, state, finished in beams:
-                if finished:
-                    candidates.append((tokens, logp, state, True))
-                    continue
-                prev = np.asarray([tokens[-1] if tokens else cfg.bos_id],
-                                  dtype=np.int64)
-                emb = self.embed(prev)
-                logits, new_state = self._decode_step(emb, state, memory)
-                raw = logits.data[0]
-                shifted = raw - raw.max()
-                logprobs = shifted - np.log(np.exp(shifted).sum())
-                top = np.argsort(-logprobs)[:beam_size]
-                for token in top:
-                    candidates.append((tokens + [int(token)],
-                                       logp + float(logprobs[token]),
-                                       new_state, token == cfg.eos_id))
-
-            def score(entry):
-                tokens, logp, _, __ = entry
-                norm = ((5.0 + max(len(tokens), 1)) / 6.0) ** alpha
-                return logp / norm
-
-            candidates.sort(key=score, reverse=True)
-            beams = candidates[:beam_size]
-            if all(f for _, __, ___, f in beams):
-                break
-        best = beams[0][0]
-        if cfg.eos_id in best:
-            best = best[:best.index(cfg.eos_id)]
-        return best
-
-    def _beam_one_cached(self, frames: np.ndarray, beam_size: int,
-                         max_len: int, alpha: float) -> list:
-        """Stacked beam step: all live hypotheses in one recurrent forward.
-
-        The per-beam LSTM state rows ride in one ``(k, hidden)`` stack
-        that is gathered to the surviving candidates' parent rows after
-        every selection; the attention key projection is computed once
-        per source.  Candidate construction, scoring, and (stable)
-        selection order replicate :meth:`_beam_one` exactly.
-        """
-        cfg = self.config
+    def _beam_step(self, frames: np.ndarray, use_cache: bool):
+        """One source's :func:`beam_search` step: ``(advance, reorder)``."""
         memory = self.encode(frames)                       # (1, T, hidden)
+        state = self.decoder_cell.initial_state(1)
+
+        def last_tokens(prefixes):
+            return np.asarray([p[-1] if p else self.config.bos_id
+                               for p in prefixes], dtype=np.int64)
+        if not use_cache:   # each live beam steps alone, on its own state
+            states = [state]
+
+            def advance(prefixes):
+                nonlocal states
+                steps = [self._decode_step(self.embed(last_tokens([p])), s,
+                                           memory)
+                         for p, s in zip(prefixes, states)]
+                states = [s for _, s in steps]
+                return np.stack([logits.data[0] for logits, _ in steps])
+
+            def reorder(parents):
+                nonlocal states
+                states = [states[p] for p in parents]
+            return advance, reorder
+        # the live beams' h/c rows step as one (k, hidden) stack
         keys_proj = self.attention.project_keys(memory)    # (1, T, attn)
-        h0, c0 = self.decoder_cell.initial_state(1)
-        h, c = h0.data, c0.data                            # (k, hidden) stacks
-        beams = [([], 0.0, 0, False)]  # (tokens, logp, state row, finished)
-        for step in range(max_len):
-            live = [i for i, (_, __, ___, done) in enumerate(beams)
-                    if not done]
-            k = len(live)
-            prev = np.asarray([beams[i][0][-1] if beams[i][0] else cfg.bos_id
-                               for i in live], dtype=np.int64)
-            rows = np.asarray([beams[i][2] for i in live], dtype=np.int64)
-            state = (Tensor(h[rows]), Tensor(c[rows]))
-            mem_k = Tensor(np.repeat(memory.data, k, axis=0))
-            kp_k = Tensor(np.repeat(keys_proj.data, k, axis=0))
-            logits, new_state = self._decode_step(self.embed(prev), state,
-                                                  mem_k, keys_proj=kp_k)
-            logits_k = logits.data
-            row_of = {beam_idx: r for r, beam_idx in enumerate(live)}
-            candidates = []  # (tokens, logp, parent state row, finished)
-            for i, (tokens, logp, _, finished) in enumerate(beams):
-                if finished:
-                    candidates.append((tokens, logp, -1, True))
-                    continue
-                raw = logits_k[row_of[i]]
-                shifted = raw - raw.max()
-                logprobs = shifted - np.log(np.exp(shifted).sum())
-                top = np.argsort(-logprobs)[:beam_size]
-                for token in top:
-                    candidates.append((tokens + [int(token)],
-                                       logp + float(logprobs[token]),
-                                       row_of[i], token == cfg.eos_id))
 
-            def score(entry):
-                tokens, logp, _, __ = entry
-                norm = ((5.0 + max(len(tokens), 1)) / 6.0) ** alpha
-                return logp / norm
+        def advance(prefixes):
+            nonlocal state
+            k = len(prefixes)
+            logits, state = self._decode_step(
+                self.embed(last_tokens(prefixes)), state,
+                Tensor(np.repeat(memory.data, k, axis=0)),
+                keys_proj=Tensor(np.repeat(keys_proj.data, k, axis=0)))
+            return logits.data
 
-            candidates.sort(key=score, reverse=True)
-            beams, gather = [], []
-            for tokens, logp, row, finished in candidates[:beam_size]:
-                if finished:
-                    beams.append((tokens, logp, -1, True))
-                else:
-                    beams.append((tokens, logp, len(gather), False))
-                    gather.append(row)
-            if all(f for _, __, ___, f in beams):
-                break
-            idx = np.asarray(gather, dtype=np.int64)
-            h, c = new_state[0].data[idx], new_state[1].data[idx]
-        best = beams[0][0]
-        if cfg.eos_id in best:
-            best = best[:best.index(cfg.eos_id)]
-        return best
+        def reorder(parents):
+            nonlocal state
+            state = tuple(Tensor(x.data[parents]) for x in state)
+        return advance, reorder
 
     def greedy_decode(self, frames: np.ndarray,
                       max_len: Optional[int] = None,

@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .. import functional as F
-from ..decoding import DecoderKVCache, LayerKVCache, pad_hypotheses
+from ..decoding import (DecoderKVCache, LayerKVCache, beam_search,
+                        pad_hypotheses)
 from ..layers import Dropout, Embedding, LayerNorm, Linear, MultiHeadAttention
 from ..module import Module, ModuleList
 from ..tensor import Tensor, no_grad
@@ -223,106 +224,40 @@ class Transformer(Module):
         ``use_cache=True`` (the default) advances all live hypotheses in
         one KV-cached stacked forward per step; ``use_cache=False`` is
         the naive reference that re-decodes every candidate's full
-        prefix each step.  Both select the same candidates.
+        prefix each step.  Both run :func:`~repro.nn.decoding.beam_search`.
         """
         if beam_size < 1:
             raise ValueError(f"beam_size must be >= 1, got {beam_size}")
         cfg = self.config
         max_len = max_len or cfg.max_len
-        step = self._beam_one_cached if use_cache else self._beam_one
         results = []
         with no_grad():
             for row in np.asarray(src_ids):
-                results.append(step(row[None, :], beam_size,
-                                    max_len, length_penalty))
+                advance, reorder = self._beam_step(row[None, :], use_cache)
+                results.append(beam_search(
+                    advance, reorder, [cfg.bos_id], max_len - 1, beam_size,
+                    length_penalty, cfg.eos_id))
         return pad_hypotheses(results, cfg.pad_id)
 
-    def _beam_one(self, src: np.ndarray, beam_size: int, max_len: int,
-                  alpha: float) -> list:
-        cfg = self.config
+    def _beam_step(self, src: np.ndarray, use_cache: bool):
+        """One source's :func:`beam_search` step: ``(advance, reorder)``."""
         memory = self.encode(src)
-        beams = [([cfg.bos_id], 0.0, False)]  # (tokens, logp, finished)
-        for _ in range(max_len - 1):
-            candidates = []
-            for tokens, logp, finished in beams:
-                if finished:
-                    candidates.append((tokens, logp, True))
-                    continue
-                tgt = np.asarray(tokens, dtype=np.int64)[None, :]
-                out = self.decode(memory, src, tgt)
-                logits = self.generator(out[:, -1, :]).data[0]
-                shifted = logits - logits.max()
-                logprobs = shifted - np.log(np.exp(shifted).sum())
-                top = np.argsort(-logprobs)[:beam_size]
-                for token in top:
-                    candidates.append((tokens + [int(token)],
-                                       logp + float(logprobs[token]),
-                                       token == cfg.eos_id))
-
-            def score(entry):
-                tokens, logp, _ = entry
-                norm = ((5.0 + len(tokens)) / 6.0) ** alpha
-                return logp / norm
-
-            candidates.sort(key=score, reverse=True)
-            beams = candidates[:beam_size]
-            if all(finished for _, __, finished in beams):
-                break
-        best = beams[0][0][1:]  # drop BOS
-        if cfg.eos_id in best:
-            best = best[:best.index(cfg.eos_id)]
-        return best
-
-    def _beam_one_cached(self, src: np.ndarray, beam_size: int, max_len: int,
-                         alpha: float) -> list:
-        """KV-cached beam step: all live hypotheses in one stacked forward.
-
-        Candidate construction, scoring, and (stable) selection order
-        replicate :meth:`_beam_one` exactly; the cache is reordered to
-        the surviving candidates' parent rows after every selection.
-        """
-        cfg = self.config
-        memory = self.encode(src)
+        if not use_cache:
+            def advance(prefixes):
+                rows = []
+                for prefix in prefixes:
+                    tgt = np.asarray([prefix], dtype=np.int64)
+                    out = self.decode(memory, src, tgt)
+                    rows.append(self.generator(out[:, -1, :]).data[0])
+                return np.stack(rows)
+            return advance, lambda parents: None
         cache = DecoderKVCache(len(self.decoder))
-        beams = [([cfg.bos_id], 0.0, False)]  # (tokens, logp, finished)
-        for _ in range(max_len - 1):
-            live = [i for i, (_, __, done) in enumerate(beams) if not done]
-            tokens_k = np.asarray([beams[i][0] for i in live], dtype=np.int64)
-            out = self.decode_step(memory, src, tokens_k, cache)
-            logits_k = self.generator(out[:, -1, :]).data
-            row_of = {beam_idx: row for row, beam_idx in enumerate(live)}
-            candidates = []  # (tokens, logp, finished, parent cache row)
-            for i, (tokens, logp, finished) in enumerate(beams):
-                if finished:
-                    candidates.append((tokens, logp, True, -1))
-                    continue
-                logits = logits_k[row_of[i]]
-                shifted = logits - logits.max()
-                logprobs = shifted - np.log(np.exp(shifted).sum())
-                top = np.argsort(-logprobs)[:beam_size]
-                for token in top:
-                    candidates.append((tokens + [int(token)],
-                                       logp + float(logprobs[token]),
-                                       token == cfg.eos_id,
-                                       row_of[i]))
 
-            def score(entry):
-                tokens, logp, _, __ = entry
-                norm = ((5.0 + len(tokens)) / 6.0) ** alpha
-                return logp / norm
-
-            candidates.sort(key=score, reverse=True)
-            selected = candidates[:beam_size]
-            beams = [(tokens, logp, finished)
-                     for tokens, logp, finished, _ in selected]
-            if all(finished for _, __, finished in beams):
-                break
-            cache.reorder([row for _, __, finished, row in selected
-                           if not finished])
-        best = beams[0][0][1:]  # drop BOS
-        if cfg.eos_id in best:
-            best = best[:best.index(cfg.eos_id)]
-        return best
+        def advance(prefixes):
+            out = self.decode_step(memory, src,
+                                   np.asarray(prefixes, dtype=np.int64), cache)
+            return self.generator(out[:, -1, :]).data
+        return advance, cache.reorder
 
     def greedy_decode(self, src_ids: np.ndarray,
                       max_len: Optional[int] = None,

@@ -23,17 +23,12 @@ from .. import obs
 from ..nn import deterministic_matmul
 from ..rng import fresh_rng
 from .batching import KINDS, Request, serial_reference
-from .engine import InferenceServer
+from .engine import InferenceServer, _count_swallowed
 from .pool import ModelPool
 from .resilient import ResilienceConfig
 
 __all__ = ["build_requests", "check_equivalence", "run_serve_benchmark",
            "run_fault_recovery", "serve"]
-
-_HARVEST_ERRORS = obs.counter(
-    "repro_serve_swallowed_exceptions_total",
-    "Exceptions caught by broad serve/resilience handlers, by handler "
-    "site and exception type.", ("site", "exc"))
 
 #: Kind served per model family (inverse of batching.KINDS).
 _KIND_OF = {model: kind for kind, model in KINDS.items()}
@@ -151,7 +146,7 @@ def run_serve_benchmark(model: str = "transformer", concurrency: int = 16,
             for key, value in _memo_reads().items()}
 
     matches = sum(1 for a, b in zip(serial_results, batched_results)
-                  if _same_result(a, b))
+                  if a == b)
     return {
         "config": {
             "model": model, "concurrency": concurrency,
@@ -174,10 +169,6 @@ def run_serve_benchmark(model: str = "transformer", concurrency: int = 16,
         "server_stats": stats,
         "weight_cache": memo,
     }
-
-
-def _same_result(a: Any, b: Any) -> bool:
-    return a == b
 
 
 def run_fault_recovery(model: str = "transformer", num_requests: int = 12,
@@ -237,15 +228,13 @@ def run_fault_recovery(model: str = "transformer", num_requests: int = 12,
                 results.append(future.result(timeout=300.0))
             except Exception as error:
                 # Expected when recovery fails; counted, not dropped.
-                _HARVEST_ERRORS.labels(site="bench.fault_recovery",
-                                       exc=type(error).__name__).inc()
+                _count_swallowed("bench.fault_recovery", error)
                 errors += 1
                 results.append(None)
         stats = server.stats.snapshot()
     resilience = stats["resilience"]
     token_identical = (errors == 0 and
-                       all(_same_result(a, b)
-                           for a, b in zip(expected, results)))
+                       all(a == b for a, b in zip(expected, results)))
     return {
         "config": {
             "model": model, "num_requests": num_requests,
@@ -287,6 +276,5 @@ def check_equivalence(models: Sequence[str] = ("transformer", "seq2seq",
                                  max_wait_ms=20.0, deterministic=True)
         with server:
             actual = _submit_all(server, requests, concurrency)
-        verdicts[model] = all(_same_result(a, b)
-                              for a, b in zip(expected, actual))
+        verdicts[model] = all(a == b for a, b in zip(expected, actual))
     return verdicts

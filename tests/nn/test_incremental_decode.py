@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.nn.decoding import AttentionKVCache, DecoderKVCache, pad_hypotheses
 from repro.nn.models.seq2seq import Seq2Seq, Seq2SeqConfig
+from repro.nn.models import transformer as transformer_module
 from repro.nn.models.transformer import Transformer, TransformerConfig
 from repro.nn.optim import SGD
 from repro.nn.quantize import (QuantSpec, attach_act_quantizers,
@@ -207,7 +208,7 @@ def test_pad_hypotheses_floor_width():
     np.testing.assert_array_equal(out, [[3, 4], [5, 0]])
 
 
-def test_beam_decode_all_empty_hypotheses_width():
+def test_beam_decode_all_empty_hypotheses_width(monkeypatch):
     """A batch whose best hypotheses are all empty still yields one
     (all-padding) column — the width bug the shared helper fixes."""
     model, src = _transformer(0)
@@ -215,8 +216,7 @@ def test_beam_decode_all_empty_hypotheses_width():
     def empty(*args, **kwargs):
         return []
 
-    model._beam_one = empty
-    model._beam_one_cached = empty
+    monkeypatch.setattr(transformer_module, "beam_search", empty)
     for use_cache in (False, True):
         out = model.beam_decode(src, beam_size=2, use_cache=use_cache)
         assert out.shape == (src.shape[0], 1)
