@@ -208,10 +208,11 @@ def test_obs_overhead_gate():
 
 def test_probe_overhead_gate():
     """CI tripwire: the self-healing Sanitizer probe must keep batch-1
-    translate and transcribe under 2.5x their plain latency on a warm
-    AdaptivFloat-8 pool.  Re-measuring every memoized weight on every
-    probed call cost about 3.5x and 5x."""
-    for model, probe in measure_probe_overhead(2.5).items():
+    translate and transcribe under 2.0x their plain latency on a warm
+    AdaptivFloat-8 pool.  Screening every op's output cost about 2.1x;
+    the float-flag gate of :mod:`repro.nn.sanitize` brought it under the
+    bound (docs/serving.md, "What the probe costs")."""
+    for model, probe in measure_probe_overhead(2.0).items():
         assert probe["identical"], (model, probe)
         assert probe["ratio"].passed, (
             f"{model} probe overhead {probe['ratio']} "

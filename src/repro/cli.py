@@ -13,6 +13,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import List, Optional
 
@@ -198,7 +199,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     else:
         # Importing the instrumented layers registers every metric
         # family, so even a fresh process dumps the full schema.
-        from . import nn, resilience, serve  # noqa: F401
+        for package in ("nn", "resilience", "serve"):
+            importlib.import_module(f".{package}", __package__)
 
     if args.format == "prom":
         print(obs.render_prometheus(), end="")

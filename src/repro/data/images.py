@@ -12,7 +12,7 @@ deltas are visible.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator
 
 import numpy as np
 

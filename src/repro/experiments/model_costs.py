@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-import numpy as np
-
 from ..analysis import format_table, save_result
 from ..hardware import count_macs, estimate_inference_cost
 from .common import MODEL_NAMES, trained_model

@@ -56,7 +56,7 @@ import os
 import sys
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional
 
 import numpy as np
 

@@ -15,7 +15,7 @@ code is reserved for zero, mirroring AdaptivFloat's zero trick.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Union
+from typing import Any, Dict
 
 import numpy as np
 

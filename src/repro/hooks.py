@@ -39,6 +39,7 @@ class _ThreadHooks(threading.local):
         self.findings_log: Any = None  # list a call trace records into
         self.counters: tuple = ()    # open MacCounters, outermost first
         self.trace: Any = None       # open CallTrace record/replay scope
+        self.fp_flagged = False      # a float flag fired under a Sanitizer
 
 
 STATE = _ThreadHooks()

@@ -22,7 +22,7 @@ from typing import Any, Dict, Tuple, Type
 
 import numpy as np
 
-from ..formats import AdaptivFloat, BlockFloat, Uniform, make_quantizer
+from ..formats import AdaptivFloat, BlockFloat, Uniform
 from ..formats.bitpack import pack_words, packed_nbytes, unpack_words
 from .module import Module
 from .quantize import DEFAULT_QUANTIZED_LAYERS, QuantSpec, quantize_weights_inplace

@@ -97,10 +97,11 @@ class WeightFakeQuant:
 
     Every read counts one hit or miss in
     ``repro_weight_quant_cache_total`` (the registry's child locks keep
-    the count exact when worker threads share one model).  With grad off
-    and no observer scope open, :func:`~repro.nn.functional.fake_quantize`
-    would only wrap the memoized array, so a read returns the memo's
-    Tensor of it instead.
+    the count exact when worker threads share one model).  With grad off,
+    :func:`~repro.nn.functional.fake_quantize` would only judge the stats
+    under an active sanitizer and wrap the memoized array, so a read
+    passes the stats to :func:`~repro.nn.sanitize.on_quantize` itself and
+    returns the memo's Tensor of it instead.
     """
 
     def __init__(self, quantizer: Quantizer) -> None:
@@ -127,13 +128,14 @@ class WeightFakeQuant:
 
     def __call__(self, weight: Tensor) -> Tensor:
         entry = self._entry(weight)
-        if not _hooks.LIVE:
-            if not _hooks.STATE.grad_enabled:
-                return entry[2]
-        elif entry[3] is None and _sanitize.is_active():
+        if _hooks.LIVE and entry[3] is None and _sanitize.is_active():
             # Concurrent fills of one shared entry measure the same arrays
             # and store equal stats, so the race is benign.
             entry[3] = _sanitize.quantize_stats(entry[1], entry[2].data)
+        if not _hooks.STATE.grad_enabled:
+            if _hooks.LIVE:
+                _sanitize.on_quantize(entry[1], entry[2].data, entry[3])
+            return entry[2]
         return F.fake_quantize(weight, lambda _data, _q=entry[2].data: _q,
                                stats=entry[3])
 

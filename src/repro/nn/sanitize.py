@@ -52,24 +52,66 @@ count — effectively free.
 
 Cost under a sanitizer
 ----------------------
-Each op output gets one ``np.isfinite(...).all()`` screen, except the
-view and selection ops (:func:`check_op` counts those unscreened: they
-hold only their input's values).  Every op is one primitive
-(:mod:`repro.nn.tensor`) that calls :func:`check_op` itself, whether it
-ran on arrays or on Tensors, so a layer reports the same findings in
-either grad mode.  A quantize boundary splits into an O(n)
-:func:`quantize_stats` pass and an O(1) judgment against the active
-thresholds.  The weight-quant memo
+Every op is one primitive (:mod:`repro.nn.tensor`) that calls
+:func:`check_op` itself, whether it ran on arrays or on Tensors, so a
+layer reports the same findings in either grad mode.  A forward finding
+needs an op output that went non-finite from finite inputs, and IEEE 754
+arithmetic on finite operands makes a non-finite value only by raising
+the overflow, invalid or divide-by-zero flag.  A :class:`Sanitizer`
+therefore opens ``np.errstate(over="call", invalid="call",
+divide="call")`` on its thread, with a callback that marks the thread's
+:data:`repro.hooks.STATE` and then does what the error mode the scope
+was entered under says (ignore, warn, raise, call, print or log).
+Inside a module call, :func:`check_op` counts every op but screens its
+output with one ``np.isfinite(...).all()`` only when
+
+* the op raised a flag: each primitive checks right after its own NumPy
+  calls, so the op that raised a flag is the one that consumes it;
+* it can write a non-finite value without raising a flag on this thread
+  (:data:`_UNFLAGGED`): the GEMMs ``matmul`` and ``conv2d``, whose flags
+  stay in OpenBLAS worker threads or are never raised by the
+  :class:`~repro.nn.tensor.deterministic_matmul` einsum, and
+  ``masked_fill`` and ``clip_values``, which copy a constant;
+* it was built outside the primitives (:func:`on_op`): the tests'
+  oracles quantize under the codec's ``errstate(all="ignore")``.
+
+Every op is screened outside module calls, and under the
+``REPRO_SANITIZE`` knob, which cannot set the errstate of every thread.
+So is every op of a model call (a module call made outside any other)
+that starts while an errstate opened inside the scope takes the
+overflow, invalid or divide flag away from the callback, as in ``with
+nn.Sanitizer(m), np.errstate(all="ignore"):``.  Each model call checks
+that with :meth:`_FlagHandler.in_force` (two ``np.geterr*`` reads).
+
+A screen the gate skips could only have found the output finite, so the
+findings, their order and ``ops_checked`` are those of screening every
+op.  A stale flag (raised by NumPy code outside a primitive) costs the
+next op a screen and adds no finding.  The view and selection ops are
+counted unscreened either way: they hold only their input's values.
+Gradients (:func:`on_grad`) are screened every time.
+
+One limit: such an errstate opened inside a module's ``forward`` hides
+the flags for the rest of that model call, and a non-finite constant
+the op does not take as an input (``pow``'s exponent) raises none.  No
+forward in ``repro`` does either: the codec's ``errstate(all="ignore")``
+runs under ``fake_quantize``, which :func:`on_quantize` judges on its
+own stats.
+
+A quantize boundary splits into an O(n) :func:`quantize_stats` pass and
+an O(1) judgment against the active thresholds.  The weight-quant memo
 (:class:`~repro.nn.quantize.WeightFakeQuant`) keeps a weight's stats in
 its memo entry, so a memoized weight is measured once per
 ``Parameter.version`` and every later probed forward replays only the
-judgment — the same findings in the same order.
+judgment — the same findings in the same order.  With grad off it then
+returns the memo's Tensor without the ``fake_quantize`` round trip.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import sys
+import warnings
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -143,6 +185,13 @@ class _State:
         self.report = SanitizeReport()
         self.names: Dict[int, str] = {}
         self.module_stack: List[str] = []
+        #: The errstate callback of the :class:`Sanitizer` scope this
+        #: state is live in (None for the ``REPRO_SANITIZE`` knob's).
+        self.handler: Optional[_FlagHandler] = None
+        #: Whether :func:`check_op` may skip the screen of an op that
+        #: raised no float flag: only inside a model call that started
+        #: with the scope's errstate in force.
+        self.gated = False
 
     # ----------------------------------------------------------- provenance
     def register_model(self, model: Any) -> None:
@@ -150,11 +199,15 @@ class _State:
             self.names[id(module)] = name or type(module).__name__
 
     def push_module(self, module: Any) -> None:
+        if not self.module_stack and self.handler is not None:
+            self.gated = self.handler.in_force()
         self.module_stack.append(
             self.names.get(id(module)) or type(module).__name__)
 
     def pop_module(self) -> None:
         self.module_stack.pop()
+        if not self.module_stack:
+            self.gated = False
 
     def current_layer(self) -> str:
         return self.module_stack[-1] if self.module_stack else "<no module>"
@@ -194,6 +247,10 @@ def global_report() -> Optional[SanitizeReport]:
 
 class Sanitizer:
     """Context manager activating the numeric sanitizer.
+
+    Entering also opens a float-flag errstate on the calling thread; an
+    op it traps still warns, raises or calls as the error mode the scope
+    was entered under says (module docs, "Cost under a sanitizer").
 
     Parameters
     ----------
@@ -242,11 +299,58 @@ class Sanitizer:
         self._previous = hooks.STATE.sanitizer
         hooks.STATE.sanitizer = self._state
         hooks.push()
+        self._state.handler = _FlagHandler()
+        self._errstate = np.errstate(over="call", invalid="call",
+                                     divide="call", call=self._state.handler)
+        self._errstate.__enter__()
         return self._state.report
 
     def __exit__(self, *exc: Any) -> None:
+        self._errstate.__exit__(*exc)
         hooks.STATE.sanitizer = self._previous
         hooks.pop()
+
+
+#: ``np.geterr`` keys of the error names NumPy passes its callback.
+_ERR_KEYS = {"divide by zero": "divide", "overflow": "over",
+             "underflow": "under", "invalid value": "invalid"}
+
+
+class _FlagHandler:
+    """The errstate callback of one :class:`Sanitizer` scope: mark the
+    calling thread's :data:`repro.hooks.STATE`, then do what the error
+    mode the scope was entered under says."""
+
+    def __init__(self) -> None:
+        self.modes = np.geterr()
+        self.call = np.geterrcall()
+
+    def __call__(self, err: str, flag: int) -> None:
+        hooks.STATE.fp_flagged = True
+        mode = self.modes[_ERR_KEYS[err]]
+        message = f"{err} encountered"
+        if mode == "warn":   # attributed to the line that ran the ufunc
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
+        elif mode == "raise":
+            raise FloatingPointError(message)
+        elif mode == "call":
+            self.call(err, flag)
+        elif mode == "print":
+            sys.stderr.write(f"Warning: {message}\n")
+        elif mode == "log":
+            self.call.write(f"Warning: {message}\n")
+
+    def write(self, message: str) -> None:
+        """Log for a flag the scope leaves in the caller's ``log`` mode
+        (underflow): NumPy writes it to the errstate's call object."""
+        self.call.write(message)
+
+    def in_force(self) -> bool:
+        """Whether the calling thread's errstate still routes the
+        overflow, invalid and divide flags to this callback."""
+        modes = np.geterr()
+        return (np.geterrcall() is self and modes["over"] == "call"
+                and modes["invalid"] == "call" and modes["divide"] == "call")
 
 
 # --------------------------------------------------------------- inspection
@@ -303,17 +407,31 @@ def _forward_finding(state: _State, op: str, stats: Dict[str, Any]) -> None:
 #: and :func:`check_op` counts them without screening.
 _VIEW_OPS = frozenset({"reshape", "transpose", "swapaxes", "getitem"})
 
+#: Ops that can write a non-finite value without raising a float flag on
+#: the calling thread, so :func:`check_op` always screens them: the GEMMs
+#: (OpenBLAS raises in its worker threads, the einsum kernel never) and
+#: the ops that copy a constant (a fill value, clip bounds).
+_UNFLAGGED = frozenset({"matmul", "conv2d", "masked_fill", "clip_values"})
+
 
 def check_op(state: _State, op: Any, data: np.ndarray,
              inputs: Iterable[Any]) -> None:
     """The forward verdict on one op output: count it, and report NaN/Inf
     that its inputs lacked.
 
-    Every primitive calls it once per op.  ``op`` is the op name, or the
-    backward closure it is derived from; ``inputs`` are the op's input
-    arrays (or scalars), read only when ``data`` is not finite.
+    Every primitive calls it once per op, right after its NumPy calls.
+    ``op`` is the op name, or the backward closure it is derived from;
+    ``inputs`` are the op's input arrays (or scalars), read only when
+    ``data`` is not finite.  Inside a model call under a
+    :class:`Sanitizer` the output is screened only when the op raised a
+    float flag or is one of :data:`_UNFLAGGED` (see the module docs).
     """
     state.report.ops_checked += 1
+    thread = hooks.STATE
+    if thread.fp_flagged:
+        thread.fp_flagged = False
+    elif state.gated and op not in _UNFLAGGED:
+        return
     if op in _VIEW_OPS or _extremes_finite(data):
         return
     if any(not _extremes_finite(a) for a in inputs):
@@ -325,11 +443,13 @@ def check_op(state: _State, op: Any, data: np.ndarray,
 def on_op(out: Any, data: np.ndarray, parents: Tuple[Any, ...],
           backward: Any) -> None:
     """Forward check of a Tensor op built outside the primitives: did it
-    manufacture NaN/Inf its inputs lacked?"""
+    manufacture NaN/Inf its inputs lacked?  Always screened: an errstate
+    of its builder's may have hidden the flag."""
     state = hooks.STATE.sanitizer
     if state is None:
         return
     out._san_layer = state.current_layer()
+    hooks.STATE.fp_flagged = True
     check_op(state, backward, data, (p.data for p in parents))
 
 

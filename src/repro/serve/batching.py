@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Optional, Sequence
 
 import numpy as np
 

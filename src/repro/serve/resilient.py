@@ -70,7 +70,9 @@ class ResilienceConfig:
         Run each micro-batch under a collecting
         :class:`~repro.nn.sanitize.Sanitizer` and quarantine on
         :data:`PROBE_KINDS` findings.  Catches in-flight numeric faults
-        beyond the scrubbed weights at the cost of per-op checking.
+        beyond the scrubbed weights, at the price of the screens of
+        :mod:`repro.nn.sanitize` ("Cost under a sanitizer"; measured in
+        docs/serving.md, "What the probe costs").
     max_retries:
         Retries per micro-batch after a detected-and-repaired fault
         before the batch is declared uncorrectable.

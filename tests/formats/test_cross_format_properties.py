@@ -1,7 +1,6 @@
 """Cross-format property tests: invariants every quantizer must satisfy."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

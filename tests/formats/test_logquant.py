@@ -1,7 +1,6 @@
 """Tests for the logarithmic (power-of-two) extension format."""
 
 import numpy as np
-import pytest
 
 from repro.formats import AdaptivFloat, LogQuant, make_quantizer
 

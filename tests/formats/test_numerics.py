@@ -3,7 +3,6 @@ verification of the paper's accumulator-width formulas."""
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.formats import AdaptivFloat, FloatIEEE, Posit, Uniform

@@ -1,6 +1,5 @@
 """Tests of the analytical PE PPA models (paper Fig. 5/7 contracts)."""
 
-import numpy as np
 import pytest
 
 from repro.hardware import PEConfig, make_pe

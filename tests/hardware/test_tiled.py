@@ -1,7 +1,6 @@
 """Tests for tiled (longer-than-H) reductions in the INT datapath."""
 
 import numpy as np
-import pytest
 
 from repro.hardware import IntVectorMac, RequantParams
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.data import SpeechTask, TranslationTask
-from repro.metrics import bleu_score, wer_score
+from repro.metrics import bleu_score
 from repro.nn.decoding import beam_search
 from repro.nn.models import Seq2Seq, Seq2SeqConfig, Transformer, TransformerConfig
 

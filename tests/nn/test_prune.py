@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.formats import AdaptivFloat, make_quantizer
+from repro.formats import AdaptivFloat
 from repro.nn import QuantSpec, quantize_weights_inplace
 from repro.nn.models import MLP
 from repro.nn.prune import magnitude_prune, sparsity_report

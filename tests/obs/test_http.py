@@ -1,5 +1,6 @@
 """Exposition endpoint: scrape /metrics like Prometheus would."""
 
+import importlib
 import json
 import urllib.error
 import urllib.request
@@ -76,9 +77,9 @@ class TestGlobalRegistryExposition:
     def test_required_families_scrapable(self):
         """Importing the instrumented packages registers every family the
         obs-smoke job scrapes for, on the process-global registry."""
-        import repro.nn.quantize        # noqa: F401
-        import repro.resilience.scrub   # noqa: F401
-        import repro.serve.stats        # noqa: F401
+        for module in ("repro.nn.quantize", "repro.resilience.scrub",
+                       "repro.serve.stats"):
+            importlib.import_module(module)
         from repro import obs
 
         with MetricsServer(obs.REGISTRY) as srv:

@@ -80,6 +80,39 @@ class TestClosedLoop:
         assert res["uncorrectable"] == 0
         assert res["degradation"] == "ok"
 
+    def test_probe_alone_quarantines_exponent_flip(self, pool):
+        # No CRC verify and no daemon: the Sanitizer probe is the only
+        # detector.  The flip overflows encoder.0.norm2's LayerNorm (a
+        # `mul`, not a GEMM), so only the float-flag gate can catch it.
+        entry = pool.get("transformer")
+        requests = build_requests("transformer", 8, seed=3, max_len=8)
+        with deterministic_matmul():
+            expected = serial_reference(entry, requests)
+        clean = entry.model.get_parameter(TARGET).data.copy()
+
+        server = InferenceServer(
+            pool, max_batch=4, max_wait_ms=5.0, deterministic=True,
+            resilience=quiet_config(verify_batches=False))
+        with server:
+            first = [server.submit(r.kind, r.payload, max_len=r.max_len)
+                     for r in requests[:4]]
+            assert server.drain(timeout=60.0)
+            flip_weight(entry.model, TARGET)       # the upset, mid-serve
+            second = [server.submit(r.kind, r.payload, max_len=r.max_len)
+                      for r in requests[4:]]
+            assert server.drain(timeout=60.0)
+
+        assert [f.result(timeout=0) for f in first + second] == expected
+        assert np.array_equal(entry.model.get_parameter(TARGET).data, clean)
+        snap = server.stats.snapshot()
+        res = snap["resilience"]
+        assert snap["requests"]["failed"] == 0
+        assert set(res["fault_kinds"]) == {"probe"}
+        assert res["fault_kinds"]["probe"] >= 1
+        assert res["restores"] >= 1
+        assert res["retries"] >= 1
+        assert res["uncorrectable"] == 0
+
     def test_silent_finite_corruption_caught_by_crc(self, pool):
         # A sign flip produces finite-but-wrong outputs no numeric probe
         # flags; the per-batch CRC verify is the detector of record.
